@@ -18,7 +18,6 @@ from .data import (
     save_params,
     split,
 )
-from .kernels import available_backends, get_backend, set_backend
 from .metrics import accuracy, auc
 from .model import (
     ModelParams,
@@ -61,13 +60,11 @@ __all__ = [
     "SyntheticConfig",
     "accuracy",
     "auc",
-    "available_backends",
     "check_stop",
     "contract_all_but",
     "contract_full",
     "diagnose_sufficient_decrease",
     "generate_synthetic",
-    "get_backend",
     "grad_bias",
     "grad_block",
     "lipschitz_bias",
@@ -86,7 +83,6 @@ __all__ = [
     "run",
     "save_dataset",
     "save_params",
-    "set_backend",
     "smooth_loss",
     "split",
     "write_trace_csv",

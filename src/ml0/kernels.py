@@ -1,112 +1,31 @@
-"""Mode contraction kernels.
+"""Mode contraction kernel.
 
 Every prediction and gradient in this package reduces to the same primitive:
-contract one axis of a dense row-major array with a vector. The numba-jitted
-kernel is the default; a pure-numpy path (tensordot) is kept as a fallback
-and for cross-checking. Select with the ML0_BACKEND environment variable
-("numba" or "numpy") or programmatically via set_backend().
+contract one axis of a dense row-major array with a vector (a mode-n product).
+There is one implementation, a numpy `matmul` on a reshaped view, so BLAS does
+the arithmetic and the array is never copied: the last axis is one
+matrix-vector product over the flattened leading axes, any other axis a
+stacked vector-matrix product over the (outer, d, inner) view.
 """
 
 import math
-import os
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _HAVE_NUMBA = False
 
 
-def _contract_axis_numpy(a, v):
-    """Contract the middle axis of a (outer, d, inner) array with v."""
-    return np.tensordot(a, v, axes=([1], [0]))
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _contract_axis_loop(a, v, out):
-        n_outer, d, n_inner = a.shape
-        if n_inner == 1:
-            # contracting the last axis: plain dot per outer row
-            for o in range(n_outer):
-                acc = 0.0
-                for j in range(d):
-                    acc += a[o, j, 0] * v[j]
-                out[o, 0] = acc
-        else:
-            for o in range(n_outer):
-                for i in range(n_inner):
-                    out[o, i] = a[o, 0, i] * v[0]
-                for j in range(1, d):
-                    vj = v[j]
-                    for i in range(n_inner):
-                        out[o, i] += a[o, j, i] * vj
-
-    def _contract_axis_numba(a, v):
-        out = np.empty((a.shape[0], a.shape[2]))
-        _contract_axis_loop(a, v, out)
-        return out
-
-
-_IMPLS = {"numpy": _contract_axis_numpy}
-if _HAVE_NUMBA:
-    _IMPLS["numba"] = _contract_axis_numba
-
-
-def available_backends():
-    return sorted(_IMPLS)
-
-
-def _initial_backend():
-    name = os.environ.get("ML0_BACKEND", "").strip().lower()
-    if not name:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name not in _IMPLS:
-        raise ValueError(
-            f"ML0_BACKEND={name!r} not available; choose from {available_backends()}"
-        )
-    return name
-
-
-_active = _initial_backend()
-
-
-def get_backend():
-    return _active
-
-
-def set_backend(name):
-    """Switch the contraction implementation ("numba" or "numpy")."""
-    global _active
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    _active = name
-
-
-def contract_axis(a, v, backend=None):
-    """Contract axis 1 of a C-contiguous (outer, d, inner) array with v."""
-    impl = _IMPLS[backend or _active]
-    return impl(a, v)
-
-
-def contract_mode(arr, v, axis, backend=None):
+def contract_mode(arr, v, axis):
     """Contract one axis of a C-contiguous float64 array with a vector.
 
     Returns an array whose shape is arr.shape with `axis` removed.
     """
     shape = arr.shape
-    outer = math.prod(shape[:axis])
-    inner = math.prod(shape[axis + 1 :])
-    a3 = arr.reshape(outer, shape[axis], inner)
-    out = contract_axis(a3, v, backend=backend)
+    d = shape[axis]
+    if axis == len(shape) - 1:
+        out = arr.reshape(-1, d) @ v
+    else:
+        out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
     return out.reshape(shape[:axis] + shape[axis + 1 :])
 
 
-def contract_down(arr, vectors, axes, backend=None):
+def contract_down(arr, vectors, axes):
     """Contract several axes with paired vectors, highest axis first.
 
     Processing in descending axis order keeps the remaining axis indices
@@ -115,5 +34,5 @@ def contract_down(arr, vectors, axes, backend=None):
     order = sorted(range(len(axes)), key=lambda i: axes[i], reverse=True)
     out = arr
     for i in order:
-        out = contract_mode(out, vectors[i], axes[i], backend=backend)
+        out = contract_mode(out, vectors[i], axes[i])
     return out

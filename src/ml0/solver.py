@@ -32,7 +32,6 @@ from .model import (
 from .prox import project_l0
 
 SCHEDULES = ("adaptive", "nesterov", "none")
-EXTRAPOLATION_CHECKS = ("full_objective", "smooth_only")
 
 
 @dataclass
@@ -49,7 +48,6 @@ class SolverConfig:
     tol_grad: float = 1e-4
     max_iters: int = 2000
     max_seconds: float = 60.0
-    extrapolation_check: str = "full_objective"
     seed: int = 0
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
-        if self.extrapolation_check not in EXTRAPOLATION_CHECKS:
-            raise ValueError(
-                f"extrapolation_check must be one of {EXTRAPOLATION_CHECKS}"
-            )
 
 
 @dataclass
@@ -232,23 +226,10 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
                 J_base = _objective_at(X, y, base, base_b, ridge, sparsity)
                 accepted = True
                 t_k, beta = nesterov_beta(t_k)
-            elif config.extrapolation_check == "full_objective":
+            else:
                 J_y = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity)
                 if J_y <= J_cur:
                     base, base_b, J_base = y_blocks, y_bias, J_y
-                    accepted = True
-                    beta = min(config.beta_max, config.t * beta)
-                else:
-                    base, base_b, J_base = cur, cur_b, J_cur
-                    accepted = False
-                    beta = beta / config.t
-            else:  # smooth_only: test the loss alone, then project the point
-                m_y = margin_batch(X, y_blocks, y_bias)
-                H_y = float(np.sum(logistic_terms(m_y, y))) + ridge_term(y_blocks, ridge)
-                if H_y <= J_cur:
-                    base = [project_l0(w, s) for w, s in zip(y_blocks, sparsity)]
-                    base_b = y_bias
-                    J_base = _objective_at(X, y, base, base_b, ridge, sparsity)
                     accepted = True
                     beta = min(config.beta_max, config.t * beta)
                 else:

@@ -253,14 +253,6 @@ class TestRunInvariants:
         np.testing.assert_allclose(betas, expect, rtol=1e-14)
         assert all(row.accepted for row in result.trace)
 
-    def test_smooth_only_variant_keeps_iterates_feasible(self):
-        result, problem = self.run_toy("adaptive", extrapolation_check="smooth_only")
-        assert all(
-            np.count_nonzero(b) <= s
-            for b, s in zip(result.params.blocks, problem.sparsity)
-        )
-        assert all(math.isfinite(row.objective) for row in result.trace)
-
     def test_trace_objective_finite_everywhere(self):
         for schedule in ("adaptive", "nesterov", "none"):
             result, _ = self.run_toy(schedule)
