@@ -67,7 +67,7 @@ def _resolve_problem(args, dims):
     return Problem(ridge=tuple(lam), sparsity=tuple(sparsity), gamma=args.gamma)
 
 
-def _solver_config(args, schedule, seed=None):
+def _solver_config(args, schedule):
     return SolverConfig(
         schedule=SCHEDULE_NAMES[schedule],
         t=args.t,
@@ -78,7 +78,6 @@ def _solver_config(args, schedule, seed=None):
         tol_grad=args.tol_grad,
         max_iters=args.max_iters,
         max_seconds=args.max_seconds,
-        seed=args.seed if seed is None else seed,
     )
 
 
@@ -95,7 +94,7 @@ def _config_dump(args, problem, config, extra=None):
         "tol_grad": config.tol_grad,
         "max_iters": config.max_iters,
         "max_seconds": config.max_seconds,
-        "seed": config.seed,
+        "seed": args.seed,
     }
     if extra:
         dump.update(extra)
@@ -136,7 +135,7 @@ def cmd_train(args):
     dims = ds.feature_dims
     problem = _resolve_problem(args, dims)
     config = _solver_config(args, args.schedule)
-    init = random_init(dims, problem.sparsity, seed=config.seed)
+    init = random_init(dims, problem.sparsity, seed=args.seed)
     time_source = (lambda: 0.0) if args.no_wall_time else None
 
     result = run(problem, ds, init, config, time_source=time_source)
@@ -232,7 +231,7 @@ def cmd_bench(args):
         train_ds, test_ds = split(ds, args.train_frac, seed=seed)
         init = random_init(dims, problem.sparsity, seed=seed)
         for name in schedules:
-            config = _solver_config(args, name, seed=seed)
+            config = _solver_config(args, name)
             result = run(problem, train_ds, init, config, time_source=time_source)
             m = margin_batch(test_ds.X, result.params.blocks, result.params.bias)
             row = {

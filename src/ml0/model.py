@@ -150,16 +150,29 @@ def objective(params: ModelParams, data, problem: Problem) -> float:
     return smooth_loss(params, data, problem)
 
 
-def grad_block(params: ModelParams, data, problem: Problem, j: int) -> np.ndarray:
-    """Partial gradient of the smooth loss with respect to block j."""
+def block_step(G, w, bias, labels, lam, gamma):
+    """Partial gradient and step-size constant of block w, from its direction
+    matrix G (one row g_s per sample, as `grad_direction_batch` returns it)
+    and the bias. Returns (gradient, tau) with the step-size constant
+    tau = gamma * (sqrt(2) * sum((||g_s|| + 1)^2) + lam)."""
+    c = loss_coefficients(G @ w + bias, labels)
+    grad = G.T @ c + lam * w
+    row_norms = np.sqrt(np.sum(G * G, axis=1))
+    return grad, gamma * (SQRT2 * float(np.sum((row_norms + 1.0) ** 2)) + lam)
+
+
+def _block_step_at(params, data, problem, j):
     p = params.order
     if not 0 <= j < p:
         raise IndexError(f"block index {j} out of range for {p} blocks")
     _check_shapes(params.blocks, data)
     G = grad_direction_batch(data.X, params.blocks, j)
-    m = G @ params.blocks[j] + params.bias
-    c = loss_coefficients(m, data.y)
-    return G.T @ c + problem.ridge[j] * params.blocks[j]
+    return block_step(G, params.blocks[j], params.bias, data.y, problem.ridge[j], problem.gamma)
+
+
+def grad_block(params: ModelParams, data, problem: Problem, j: int) -> np.ndarray:
+    """Partial gradient of the smooth loss with respect to block j."""
+    return _block_step_at(params, data, problem, j)[0]
 
 
 def grad_bias(params: ModelParams, data) -> float:
@@ -168,24 +181,13 @@ def grad_bias(params: ModelParams, data) -> float:
     return float(np.sum(loss_coefficients(m, data.y)))
 
 
-def step_bound_from_rows(row_norms, lam, gamma):
-    """Step-size constant gamma * (sqrt(2) * sum((||g_s|| + 1)^2) + lam)."""
-    return gamma * (SQRT2 * float(np.sum((row_norms + 1.0) ** 2)) + lam)
-
-
 def lipschitz_block(params: ModelParams, data, problem: Problem, j: int) -> float:
     """Smoothness bound for block j at the current values of the other blocks.
 
     The bound depends on the per-sample gradient-direction norms, so it must
     be recomputed whenever any other block changes.
     """
-    p = params.order
-    if not 0 <= j < p:
-        raise IndexError(f"block index {j} out of range for {p} blocks")
-    _check_shapes(params.blocks, data)
-    G = grad_direction_batch(data.X, params.blocks, j)
-    row_norms = np.sqrt(np.sum(G * G, axis=1))
-    return step_bound_from_rows(row_norms, problem.ridge[j], problem.gamma)
+    return _block_step_at(params, data, problem, j)[1]
 
 
 def lipschitz_bias(data, problem: Problem) -> float:

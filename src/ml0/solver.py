@@ -10,6 +10,18 @@ gradient step on the bias. Momentum schedules:
   adaptive  grow/shrink the factor by t based on the acceptance test
   nesterov  classic t_k recursion, extrapolated point always used
   none      no extrapolation (plain block proximal gradient descent)
+
+All of an iteration's contractions of the sample array X derive from one
+cached partial P = X x_p w_p (X contracted with the last block) per iterate,
+kept for the current and the previous iterate. The mode product is linear,
+so P at the extrapolated point is P_cur + beta (P_cur - P_prev) and the
+extrapolation test reads no X; the sweep takes the directions of blocks
+1..p-1 from P at its base point and reads X once, for the last block's
+direction; the stop test reuses that direction and reads X once more, for
+the new iterate's P. That is two passes over X per iteration at any order
+p >= 2. At order 1 the only direction is X itself and P is the margin
+vector minus the bias, which the sweep computes anyway, so neither test
+contracts X.
 """
 
 import math
@@ -18,16 +30,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .kernels import contract_mode
 from .model import (
     ModelParams,
     Problem,
+    block_step,
     grad_direction_batch,
     is_feasible,
     logistic_terms,
     loss_coefficients,
     margin_batch,
     ridge_term,
-    step_bound_from_rows,
 )
 from .prox import project_l0
 
@@ -48,7 +61,6 @@ class SolverConfig:
     tol_grad: float = 1e-4
     max_iters: int = 2000
     max_seconds: float = 60.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -140,22 +152,38 @@ def random_init(dims, sparsity, seed, bias=0.0):
     return ModelParams(blocks=tuple(blocks), bias=bias)
 
 
-def _objective_at(X, y, blocks, bias, ridge, sparsity):
+def _objective_at(X, y, blocks, bias, ridge, sparsity, partial=None):
+    """Objective at (blocks, bias) and the partial P = X x_p w_p there.
+
+    A given `partial` must be P at `blocks`; without one, P costs one pass
+    over X. The margins are P contracted with the other blocks plus the bias.
+    """
+    if partial is None:
+        partial = contract_mode(X, blocks[-1], len(blocks))
     if not is_feasible(blocks, sparsity):
-        return math.inf
-    m = margin_batch(X, blocks, bias)
-    return float(np.sum(logistic_terms(m, y))) + ridge_term(blocks, ridge)
+        return math.inf, partial
+    m = margin_batch(partial, blocks[:-1], bias)
+    return float(np.sum(logistic_terms(m, y))) + ridge_term(blocks, ridge), partial
 
 
-def _gradient_family(X, y, blocks, margins, ridge):
-    """Smooth-gradient family [g_1, ..., g_p, [g_bias]] at a fixed state."""
+def _gradient_family(X, y, blocks, margins, ridge, last_direction, partial=None):
+    """Smooth-gradient family [g_1, ..., g_p, [g_bias]] at a fixed state, and
+    the partial P = X x_p w_p there.
+
+    `last_direction` is the gradient direction of the last block at this
+    state, which the sweep has just computed. Without a given `partial`, P
+    costs the one pass over X; the other directions follow from P.
+    """
+    p = len(blocks)
+    if partial is None:
+        partial = contract_mode(X, blocks[-1], p)
     coeff = loss_coefficients(margins, y)
     family = []
-    for j in range(len(blocks)):
-        G = grad_direction_batch(X, blocks, j)
+    for j in range(p):
+        G = last_direction if j == p - 1 else grad_direction_batch(partial, blocks[:-1], j)
         family.append(G.T @ coeff + ridge[j] * blocks[j])
     family.append(np.array([float(np.sum(coeff))]))
-    return family
+    return family, partial
 
 
 def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
@@ -191,9 +219,11 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     cur = [b.copy() for b in init.blocks]
     prev = [b.copy() for b in init.blocks]
     cur_b = prev_b = init.bias
-    J_cur = _objective_at(X, y, cur, cur_b, ridge, sparsity)
+    # Cached partials P = X x_p w_p at the current and previous iterates.
+    J_cur, P_cur = _objective_at(X, y, cur, cur_b, ridge, sparsity)
     if not math.isfinite(J_cur):
         raise ValueError("objective is not finite at the initial point")
+    P_prev = P_cur
 
     beta = config.beta1 if config.schedule == "adaptive" else 0.0
     t_k = 1.0
@@ -212,7 +242,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             any(not np.array_equal(c, q) for c, q in zip(cur, prev)) or cur_b != prev_b
         )
         if config.schedule == "none" or not moved:
-            base, base_b, J_base = cur, cur_b, J_cur
+            base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
             accepted = True
             if config.schedule == "adaptive":
                 beta = min(config.beta_max, config.t * beta)
@@ -221,40 +251,44 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         else:
             y_blocks = [c + beta * (c - q) for c, q in zip(cur, prev)]
             y_bias = cur_b + beta * (cur_b - prev_b)
-            if config.schedule == "nesterov":
-                base, base_b = y_blocks, y_bias
-                J_base = _objective_at(X, y, base, base_b, ridge, sparsity)
+            # X x_p is linear, so P at the extrapolated point needs no pass over X.
+            P_y = P_cur - P_prev
+            P_y *= beta
+            P_y += P_cur
+            J_y, _ = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity, P_y)
+            if config.schedule == "nesterov" or J_y <= J_cur:
+                base, base_b, J_base, P_base = y_blocks, y_bias, J_y, P_y
                 accepted = True
-                t_k, beta = nesterov_beta(t_k)
             else:
-                J_y = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity)
-                if J_y <= J_cur:
-                    base, base_b, J_base = y_blocks, y_bias, J_y
-                    accepted = True
-                    beta = min(config.beta_max, config.t * beta)
-                else:
-                    base, base_b, J_base = cur, cur_b, J_cur
-                    accepted = False
-                    beta = beta / config.t
+                base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
+                accepted = False
+            if config.schedule == "nesterov":
+                t_k, beta = nesterov_beta(t_k)
+            elif accepted:
+                beta = min(config.beta_max, config.t * beta)
+            else:
+                beta = beta / config.t
 
         # Cyclic block sweep: blocks before j are already updated, the rest
         # sit at the base point, so the step-size constant is fresh for j.
+        # Block p-1 is still at the base point while blocks 0..p-2 step, so
+        # their directions come from P_base; only the last one reads X.
         work = [b.copy() for b in base]
         min_tau = tau_bias
-        G = None
         for j in range(p):
-            G = grad_direction_batch(X, work, j)
-            m = G @ work[j] + base_b
-            coeff = loss_coefficients(m, y)
-            grad = G.T @ coeff + ridge[j] * work[j]
-            row_norms = np.sqrt(np.sum(G * G, axis=1))
-            tau = step_bound_from_rows(row_norms, ridge[j], gamma)
+            if j < p - 1:
+                G = grad_direction_batch(P_base, work[:-1], j)
+            else:
+                G = grad_direction_batch(X, work, j)
+            grad, tau = block_step(G, work[j], base_b, y, ridge[j], gamma)
             work[j] = project_l0(work[j] - grad / tau, sparsity[j])
-            assert np.count_nonzero(work[j]) <= sparsity[j]
             min_tau = min(min_tau, tau)
+        # Only P_cur outlives the sweep; the stop test computes the next one.
+        P_y = P_base = P_prev = None
 
         # G still matches the final block state (it never involves block p-1).
-        m_blocks = G @ work[p - 1] + base_b
+        s_last = G @ work[p - 1]
+        m_blocks = s_last + base_b
         grad_b = float(np.sum(loss_coefficients(m_blocks, y)))
         new_b = base_b - grad_b / tau_bias
 
@@ -278,11 +312,15 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
         if iterate_hook is not None:
             iterate_hook(k, work, new_b)
-        grads_now = _gradient_family(X, y, work, m_final, ridge)
+        # The stop test reuses G; its pass over X is the next P_cur. At order
+        # 1, P is the margin vector minus the bias, which the sweep computed.
+        grads_now, P_new = _gradient_family(
+            X, y, work, m_final, ridge, G, s_last if p == 1 else None
+        )
         # Velocity memory runs over consecutive iterates; the accepted
         # extrapolated point only serves as the base of the sweep.
-        prev, prev_b = cur, cur_b
-        cur, cur_b = work, new_b
+        prev, prev_b, P_prev = cur, cur_b, P_cur
+        cur, cur_b, P_cur = work, new_b, P_new
         J_cur = J_next
 
         if grads_prev is not None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ml0 import load_dataset, load_params
+from ml0 import Problem, SolverConfig, load_dataset, load_params, random_init, run
 from ml0.cli import main
 
 
@@ -108,6 +108,23 @@ class TestTrain:
             "--max-iters", "5",
         ])
         assert rc == 1
+
+    def test_seed_drives_the_initial_point(self, toy_dataset, tmp_path):
+        model = tmp_path / "s.ml0w"
+        rc = main([
+            "train", str(toy_dataset), "-o", str(model),
+            "--max-iters", "30", "--seed", "4", "--no-wall-time",
+        ])
+        assert rc == 0
+        assert '\n  "seed": 4,\n' in (tmp_path / "s.ml0w.json").read_text()
+        ds = load_dataset(toy_dataset)
+        problem = Problem(ridge=(2e-4, 2e-4), sparsity=(3, 2), gamma=1.5)
+        init = random_init(ds.feature_dims, problem.sparsity, seed=4)
+        want = run(problem, ds, init, SolverConfig(max_iters=30)).params
+        got = load_params(model)
+        for a, b in zip(got.blocks, want.blocks):
+            np.testing.assert_array_equal(a, b)
+        assert got.bias == want.bias
 
     def test_missing_dataset_exit_one(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "absent.ml0t"), "-o", str(tmp_path / "m.ml0w")])

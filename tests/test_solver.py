@@ -9,15 +9,26 @@ from ml0 import (
     ModelParams,
     Problem,
     SolverConfig,
+    SyntheticConfig,
     check_stop,
     diagnose_sufficient_decrease,
+    generate_synthetic,
     nesterov_beta,
     project_l0,
     random_init,
     run,
+    split,
     write_trace_csv,
 )
-from ml0.solver import TRACE_HEADER
+from ml0 import kernels, solver
+from ml0.model import (
+    grad_direction_batch,
+    logistic_terms,
+    loss_coefficients,
+    margin_batch,
+    ridge_term,
+)
+from ml0.solver import SCHEDULES, TRACE_HEADER
 
 
 def toy_dataset(rng, n=24, dims=(4, 3)):
@@ -162,8 +173,9 @@ class TestRunBasics:
         data = Dataset(X, [1.0, -1.0])
         problem = Problem(ridge=(0.0,), sparsity=(1,))
         init = ModelParams(blocks=(np.array([1e12, 0.0]),), bias=0.0)
-        with pytest.raises(ValueError, match="finite"):
-            run(problem, data, init, SolverConfig())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="finite"):
+                run(problem, data, init, SolverConfig())
 
     def test_defaults_mirror_reference_setup(self):
         config = SolverConfig()
@@ -181,6 +193,8 @@ class TestRunBasics:
             SolverConfig(schedule="magic")
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0)
+        with pytest.raises(TypeError):  # the seed belongs to the initial point
+            SolverConfig(seed=0)
 
 
 class TestRunInvariants:
@@ -358,3 +372,146 @@ class TestDiagnostics:
         init = random_init(data.feature_dims, problem.sparsity, seed=11)
         result = run(problem, data, init, SolverConfig(max_iters=40))
         assert diagnose_sufficient_decrease(result, rho_hat=0.0).violations == 0
+
+
+def cache_runs():
+    """(data, problem, init) for the seed-0 run of the desk acceptance bundle
+    (order 2) and for toy problems of order 3 and 1."""
+    ds, _ = generate_synthetic(
+        SyntheticConfig(rows=30, cols=30, block=5, per_class=100, margin=0.5, seed=0)
+    )
+    train, _ = split(ds, 0.8, seed=0)
+    desk = Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9), gamma=1.5)
+    rng = np.random.default_rng(12)
+    cube = toy_dataset(rng, n=40, dims=(4, 3, 5))
+    cube_problem = toy_problem(cube.feature_dims, s=2)
+    line = toy_dataset(rng, n=30, dims=(12,))
+    line_problem = toy_problem(line.feature_dims, s=3)
+    return [
+        (train, desk, random_init(train.feature_dims, desk.sparsity, seed=0)),
+        (cube, cube_problem, random_init(cube.feature_dims, cube_problem.sparsity, seed=12)),
+        (line, line_problem, random_init(line.feature_dims, line_problem.sparsity, seed=13)),
+    ]
+
+
+def schedule_config(schedule, **kwargs):
+    return SolverConfig(schedule=schedule, beta1=0.6 if schedule == "adaptive" else 0.0,
+                        **kwargs)
+
+
+def rel_err(got, want):
+    """Relative 2-norm error of a flattened array or family of arrays."""
+    got = np.concatenate([np.ravel(g) for g in got])
+    want = np.concatenate([np.ravel(w) for w in want])
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestCachedPartials:
+    """The solver derives every contraction of X from a cached partial
+    P = X x_p w_p per iterate; each cached quantity must match a from-scratch
+    evaluation at every call."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_cache_matches_scratch(self, monkeypatch, schedule):
+        objective_at = solver._objective_at
+        gradient_family = solver._gradient_family
+        direction = solver.grad_direction_batch
+        for data, problem, init in cache_runs():
+            X, p = data.X, len(init.blocks)
+            errors = []
+            sweeps = []  # (iteration, error vs P at the current iterate, vs P at y)
+            # The last hooked iterate, the extrapolated point's last block, and
+            # whether the stop test is running.
+            state = {"k": 0, "blocks": init.blocks, "y": None, "stop": False}
+
+            def scratch_partial(w_last):
+                return kernels.contract_mode(X, w_last, p)
+
+            def checked_objective(X_, y, blocks, bias, ridge, sparsity, partial=None):
+                J, P = objective_at(X_, y, blocks, bias, ridge, sparsity, partial)
+                if partial is not None:
+                    state["y"] = (state["k"] + 1, blocks[-1])
+                errors.append(rel_err([P], [scratch_partial(blocks[-1])]))
+                if math.isfinite(J):
+                    m = margin_batch(X, blocks, bias)
+                    want = float(np.sum(logistic_terms(m, y))) + ridge_term(blocks, ridge)
+                    errors.append(abs(J - want) / abs(want))
+                return J, P
+
+            def checked_direction(arr, blocks, skip):
+                if arr is not X and not state["stop"]:
+                    # A sweep direction taken from P at the sweep's base point.
+                    k = state["k"] + 1
+                    at_y = None
+                    if state["y"] is not None and state["y"][0] == k:
+                        at_y = rel_err([arr], [scratch_partial(state["y"][1])])
+                    sweeps.append((k, rel_err([arr], [scratch_partial(state["blocks"][-1])]),
+                                   at_y))
+                return direction(arr, blocks, skip)
+
+            def checked_family(X_, y, blocks, margins, ridge, last_direction, partial=None):
+                assert all(b is w for b, w in zip(blocks, state["blocks"]))
+                state["stop"] = True
+                family, P = gradient_family(X_, y, blocks, margins, ridge, last_direction,
+                                            partial)
+                state["stop"] = False
+                m = margin_batch(X, blocks, state["bias"])
+                coeff = loss_coefficients(m, y)
+                directions = [grad_direction_batch(X, blocks, j) for j in range(p)]
+                want = [G.T @ coeff + lam * b for G, lam, b in zip(directions, ridge, blocks)]
+                want.append(np.array([float(np.sum(coeff))]))
+                errors.extend([
+                    rel_err([P], [scratch_partial(blocks[-1])]),
+                    rel_err([margins], [m]),
+                    rel_err([last_direction], [directions[-1]]),
+                    rel_err(family, want),
+                ])
+                return family, P
+
+            def hook(k, blocks, bias):
+                state.update(k=k, blocks=blocks, bias=bias)
+
+            monkeypatch.setattr(solver, "_objective_at", checked_objective)
+            monkeypatch.setattr(solver, "_gradient_family", checked_family)
+            monkeypatch.setattr(solver, "grad_direction_batch", checked_direction)
+            result = run(problem, data, init, schedule_config(schedule, max_iters=400),
+                         iterate_hook=hook)
+            monkeypatch.undo()
+            # The sweep's base is the extrapolated point when one was tested
+            # and kept, the current iterate otherwise.
+            for k, at_cur, at_y in sweeps:
+                errors.append(at_y if at_y is not None and result.trace[k - 1].accepted
+                              else at_cur)
+            assert len(sweeps) == (p - 1) * len(result.trace)
+            assert len(errors) >= (4 + p - 1) * len(result.trace)
+            assert max(errors) <= 1e-12, (p, schedule, max(errors))
+            if schedule == "adaptive":
+                assert not all(row.accepted for row in result.trace)
+            if schedule != "none":
+                assert any(row.beta > 0.0 and row.accepted for row in result.trace)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_passes_over_x_per_iteration(self, monkeypatch, schedule):
+        """Order p >= 2 contracts X twice per iteration (the last block's sweep
+        direction and the new iterate's partial). Order 1 contracts X in no
+        iteration; before the cached partial, its extrapolation test did
+        once per iteration."""
+        contract_mode = kernels.contract_mode
+        for data, problem, init in cache_runs():
+            passes, marks = [0], []
+
+            def counted(arr, v, axis):
+                passes[0] += arr is data.X
+                return contract_mode(arr, v, axis)
+
+            monkeypatch.setattr(kernels, "contract_mode", counted)
+            monkeypatch.setattr(solver, "contract_mode", counted)
+            result = run(problem, data, init, schedule_config(schedule, max_iters=200),
+                         iterate_hook=lambda k, blocks, bias: marks.append(passes[0]))
+            monkeypatch.undo()
+            per_iteration = np.diff(marks)
+            assert len(per_iteration) == len(result.trace) - 1 > 10
+            want = 0 if init.order == 1 else 2
+            assert per_iteration.tolist() == [want] * len(per_iteration), init.order
+            # One more pass computes the initial objective.
+            assert passes[0] == 1 + want * len(result.trace)
