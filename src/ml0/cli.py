@@ -29,7 +29,7 @@ from .data import (
     split,
 )
 from .metrics import accuracy, auc
-from .model import Problem, margin_batch, objective
+from .model import Problem, margin_batch, objective_from_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
@@ -188,7 +188,9 @@ def cmd_eval(args):
         "accuracy": accuracy(m, ds.y),
         "auc": auc(m, ds.y),
         "n": ds.n,
-        "objective": objective(params, ds, problem),
+        "objective": objective_from_margins(
+            m, ds.y, params.blocks, problem.ridge, problem.sparsity
+        ),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:

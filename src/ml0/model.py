@@ -143,11 +143,19 @@ def is_feasible(blocks, sparsity) -> bool:
     return all(np.count_nonzero(b) <= s for b, s in zip(blocks, sparsity))
 
 
+def objective_from_margins(margins, labels, blocks, ridge, sparsity) -> float:
+    """Objective from the margins of every sample: +inf if a block breaks its
+    sparsity cap, otherwise the logistic loss sum plus the ridge term."""
+    if not is_feasible(blocks, sparsity):
+        return math.inf
+    return float(np.sum(logistic_terms(margins, labels))) + ridge_term(blocks, ridge)
+
+
 def objective(params: ModelParams, data, problem: Problem) -> float:
     """Smooth loss if every block satisfies its sparsity cap, +inf otherwise."""
-    if not is_feasible(params.blocks, problem.sparsity):
-        return math.inf
-    return smooth_loss(params, data, problem)
+    return objective_from_margins(
+        margins(params, data), data.y, params.blocks, problem.ridge, problem.sparsity
+    )
 
 
 def block_step(G, w, bias, labels, lam, gamma):

@@ -40,6 +40,7 @@ from .model import (
     logistic_terms,
     loss_coefficients,
     margin_batch,
+    objective_from_margins,
     ridge_term,
 )
 from .prox import project_l0
@@ -160,10 +161,8 @@ def _objective_at(X, y, blocks, bias, ridge, sparsity, partial=None):
     """
     if partial is None:
         partial = contract_mode(X, blocks[-1], len(blocks))
-    if not is_feasible(blocks, sparsity):
-        return math.inf, partial
     m = margin_batch(partial, blocks[:-1], bias)
-    return float(np.sum(logistic_terms(m, y))) + ridge_term(blocks, ridge), partial
+    return objective_from_margins(m, y, blocks, ridge, sparsity), partial
 
 
 def _gradient_family(X, y, blocks, margins, ridge, last_direction, partial=None):

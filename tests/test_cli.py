@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from ml0 import Problem, SolverConfig, load_dataset, load_params, random_init, run
+from ml0 import (
+    Problem,
+    SolverConfig,
+    kernels,
+    load_dataset,
+    load_params,
+    objective,
+    random_init,
+    run,
+)
 from ml0.cli import main
 
 
@@ -161,6 +170,27 @@ class TestEval:
         np.testing.assert_allclose(
             report["objective"], sidecar["final_objective"], rtol=1e-10
         )
+
+    def test_one_pass_over_x_and_objective_bitwise(self, toy_dataset, trained, capsys,
+                                                   monkeypatch):
+        ds = load_dataset(toy_dataset)
+        shapes = []
+        contract = kernels.contract_mode
+
+        def recording(arr, v, axis):
+            shapes.append(arr.shape)
+            return contract(arr, v, axis)
+
+        monkeypatch.setattr(kernels, "contract_mode", recording)
+        rc = main(["eval", str(trained), str(toy_dataset)])
+        monkeypatch.undo()
+        assert rc == 0
+        assert shapes.count(ds.X.shape) == 1
+        report = json.loads(capsys.readouterr().out)
+        sidecar = json.loads((trained.parent / (trained.name + ".json")).read_text())
+        problem = Problem(ridge=tuple(sidecar["lambda"]), sparsity=tuple(sidecar["sparsity"]),
+                          gamma=sidecar["gamma"])
+        assert report["objective"] == objective(load_params(trained), ds, problem)
 
     def test_dimension_mismatch_exit_one(self, trained, tmp_path, capsys):
         other = tmp_path / "other.ml0t"

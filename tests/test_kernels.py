@@ -1,7 +1,15 @@
+import importlib
+import inspect
+import os
+import signal
 import string
+import threading
+import time
 
 import numpy as np
+import pytest
 
+import ml0
 from ml0 import kernels
 
 
@@ -28,3 +36,213 @@ def test_contract_down_descending_fold():
     out = kernels.contract_down(arr, vs, [1, 2])
     want = np.einsum("ijk,j,k->i", arr, vs[0], vs[1])
     np.testing.assert_allclose(out, want, rtol=1e-13)
+
+
+# The sample split. Tests reach it on small arrays by patching the private
+# cutoff and the usable core count.
+
+
+def _single(arr, v, axis):
+    d = arr.shape[axis]
+    if axis == arr.ndim - 1:
+        out = arr.reshape(-1, d) @ v
+    else:
+        out = v @ arr.reshape(int(np.prod(arr.shape[:axis])), d, -1)
+    return out.reshape(arr.shape[:axis] + arr.shape[axis + 1 :])
+
+
+@pytest.fixture
+def run_split_calls(monkeypatch):
+    """Record the slab count of every contraction that takes the split."""
+    calls = []
+    run_split = kernels._run_split
+
+    def counting(products):
+        calls.append(len(products))
+        return run_split(products)
+
+    monkeypatch.setattr(kernels, "_run_split", counting)
+    return calls
+
+
+@pytest.fixture
+def split_calls(run_split_calls, monkeypatch):
+    """As run_split_calls, with the split forced on samples of any size."""
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_SAMPLE", 1)
+    return run_split_calls
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_split_matches_single_call(split_calls, monkeypatch, workers):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(11)
+    # n = 2 * workers + 1 is never a multiple of the worker count; the d=130
+    # last axis is where stacked per-sample gemvs and one gemv round apart.
+    shapes = [(2 * workers + 1, 7), (2 * workers + 1, 130), (2 * workers + 1, 5, 130),
+              (2 * workers + 1, 3, 4, 5), (2 * workers + 1, 1, 6, 1), (23, 4, 3)]
+    for shape in shapes:
+        arr = np.ascontiguousarray(rng.standard_normal(shape))
+        idx = string.ascii_lowercase[: len(shape)]
+        for axis, d in enumerate(shape):
+            v = rng.standard_normal(d)
+            before = len(split_calls)
+            out = kernels.contract_mode(arr, v, axis)
+            assert out.shape == shape[:axis] + shape[axis + 1 :]
+            assert len(split_calls) - before == (0 if axis == 0 else 1)
+            if axis < len(shape) - 1:
+                np.testing.assert_array_equal(out, _single(arr, v, axis))
+            else:
+                want = np.einsum(f"{idx},{idx[axis]}->{idx.replace(idx[axis], '')}", arr, v)
+                np.testing.assert_allclose(out, want, rtol=1e-13)
+            np.testing.assert_array_equal(out, kernels.contract_mode(arr, v, axis))
+    assert set(split_calls) == {workers}
+
+
+def test_split_bits_do_not_depend_on_worker_count(split_calls, monkeypatch):
+    rng = np.random.default_rng(12)
+    arr = rng.standard_normal((13, 6, 130))
+    for axis in (1, 2):
+        v = rng.standard_normal(arr.shape[axis])
+        outs = []
+        for workers in (2, 3, 5):
+            monkeypatch.setattr(kernels, "_usable_cores", lambda w=workers: w)
+            outs.append(kernels.contract_mode(arr, v, axis))
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+    assert split_calls == [2, 3, 5, 2, 3, 5]
+
+
+@pytest.mark.parametrize("workers,n", [(1, 40), (2, 3), (4, 7)])
+def test_unsplit_with_one_core_or_few_samples(split_calls, monkeypatch, workers, n):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(13)
+    arr = rng.standard_normal((n, 4, 5))
+    for axis in (1, 2):
+        v = rng.standard_normal(arr.shape[axis])
+        np.testing.assert_array_equal(kernels.contract_mode(arr, v, axis), _single(arr, v, axis))
+    assert split_calls == []
+
+
+def test_default_cutoff_splits_only_large_samples(run_split_calls, monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    calls = run_split_calls
+    # 30x30 samples (desk and score scale) and 120x120 ones (14,400 elements)
+    # stay whole; 130x130 samples (16,900) split once n reaches 2 per core.
+    cases = [((40, 30, 30), False), ((4, 120, 120), False), ((3, 130, 130), False),
+             ((4, 130, 130), True)]
+    for shape, split in cases:
+        arr = np.ones(shape)
+        for axis, d in enumerate(shape):
+            before = len(calls)
+            kernels.contract_mode(arr, np.ones(d), axis)
+            assert len(calls) - before == int(split and axis > 0), (shape, axis)
+    assert kernels._slabs(801) == [0, 400, 801]
+    assert kernels._slabs(3) is None
+
+
+def test_wrong_vector_length_raises_as_single_call(split_calls, monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    arr = np.ones((9, 4, 5))
+    for axis in (1, 2):
+        v = np.ones(arr.shape[axis] + 1)
+        with pytest.raises(ValueError) as single:
+            _single(arr, v, axis)
+        with pytest.raises(ValueError) as split:
+            kernels.contract_mode(arr, v, axis)
+        assert str(split.value) == str(single.value)
+    assert split_calls == [2, 2]
+
+
+@pytest.mark.parametrize("failing", ["main", "worker"])
+def test_slab_error_reaches_caller_after_every_slab_ends(split_calls, monkeypatch, failing):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 3)
+    matmul = np.matmul
+    main = threading.main_thread()
+    finished = []
+
+    def flaky(*args, **kwargs):
+        on_main = threading.current_thread() is main
+        if not on_main:
+            time.sleep(0.05)  # the main thread's slab ends first
+        try:
+            if on_main == (failing == "main"):
+                raise ValueError(f"{failing} slab failed")
+            return matmul(*args, **kwargs)
+        finally:
+            if not on_main:
+                finished.append(threading.current_thread())
+
+    monkeypatch.setattr(np, "matmul", flaky)
+    arr = np.ones((9, 4, 5))
+    for axis in (1, 2):
+        finished.clear()
+        with pytest.raises(ValueError, match=f"{failing} slab failed"):
+            kernels.contract_mode(arr, np.ones(arr.shape[axis]), axis)
+        assert len(finished) == 2
+        assert not any(t.is_alive() for t in finished)
+    assert split_calls == [3, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_contracts_after_parent_split(split_calls, monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(14)
+    arr = rng.standard_normal((9, 6, 7))
+    v = rng.standard_normal(6)
+    want = _single(arr, v, 1)
+    np.testing.assert_array_equal(kernels.contract_mode(arr, v, 1), want)
+    assert split_calls == [2]
+    pid = os.fork()
+    if pid == 0:  # child: exit 0 only if the split contraction completes correctly
+        code = 1
+        try:
+            ok = np.array_equal(kernels.contract_mode(arr, v, 1), want) and split_calls == [2, 2]
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung in contract_mode")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_solve_above_cutoff_calls_ml0_on_main_thread(run_split_calls, monkeypatch):
+    """Every public ml0 function runs on the main thread during a solve whose
+    sample array takes the split, so a single-threaded wrapper (such as a
+    span tracer) around them stays consistent."""
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    layers = ("cli", "data", "model", "kernels", "tensor", "prox", "solver", "metrics")
+    modules = [importlib.import_module(f"ml0.{name}") for name in layers]
+    threads, names = [], set()
+    wrappers = {}
+    for mod in modules:
+        for attr, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not attr.startswith("_"):
+                def wrapper(*args, _fn=fn, **kwargs):
+                    threads.append(threading.current_thread())
+                    names.add(_fn.__qualname__)
+                    return _fn(*args, **kwargs)
+                wrappers[fn] = wrapper
+    for mod in [ml0, *modules]:
+        for attr, fn in list(vars(mod).items()):
+            if inspect.isfunction(fn) and fn in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[fn])
+
+    rng = np.random.default_rng(15)
+    n, dims = 8, (130, 130)  # 16,900 elements per sample, above the cutoff
+    assert dims[0] * dims[1] >= kernels._SPLIT_MIN_SAMPLE
+    data = ml0.Dataset(rng.standard_normal((n,) + dims), np.array([1.0, -1.0] * (n // 2)))
+    problem = ml0.Problem(ridge=(1e-3, 1e-3), sparsity=(20, 20))
+    init = ml0.random_init(dims, problem.sparsity, seed=3)
+    result = ml0.run(problem, data, init, ml0.SolverConfig(max_iters=4))
+    assert len(result.trace) >= 2
+    assert run_split_calls and set(run_split_calls) == {2}
+    assert {"contract_mode", "margin_batch", "project_l0"} <= names
+    assert all(t is threading.main_thread() for t in threads)
