@@ -1,6 +1,7 @@
 """Datasets: synthetic generation, normalization, splitting, and binary persistence."""
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -11,6 +12,7 @@ from .tensor import DenseTensor
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
 FORMAT_VERSION = 1
+_FINITE_BLOCK = 1 << 16  # elements per np.isfinite call in Dataset
 
 
 class FormatError(ValueError):
@@ -51,8 +53,12 @@ class Dataset:
             raise ValueError("samples must form an (n, d_1, ..., d_p) array with n >= 1")
         if any(d < 1 for d in X.shape[1:]):
             raise ValueError(f"all feature extents must be >= 1, got {X.shape[1:]}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("sample entries must be finite")
+        X = np.ascontiguousarray(X)
+        # Block by block, so the check allocates no bool array the size of X.
+        flat = X.reshape(-1)
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+                raise ValueError("sample entries must be finite")
 
         y = np.asarray(labels, dtype=np.float64).reshape(-1)
         if y.size != X.shape[0]:
@@ -63,7 +69,6 @@ class Dataset:
         elif not values <= {-1.0, 1.0}:
             raise ValueError(f"labels must be in {{-1,+1}} or {{0,1}}, got {sorted(values)}")
 
-        X = np.ascontiguousarray(X)
         X.setflags(write=False)
         y.setflags(write=False)
         self._X = X
@@ -227,19 +232,43 @@ def split(ds: Dataset, train_fraction: float, seed: int):
 
 
 class _Reader:
-    def __init__(self, buf, path):
-        self.buf = buf
+    """Reads a binary file front to back with small reads.
+
+    Every read is checked against the file size taken once from `fstat`, so a
+    header that declares more data than the file holds fails before anything
+    of that size is allocated. A truncation reports the file size as its
+    offset.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
         self.path = path
 
+    def _need(self, size, what):
+        if self.off + size > self.size:
+            raise FormatError(f"{self.path}: truncated while reading {what}", self.size)
+
+    def _fill(self, buf, what):
+        # A short read means the file shrank after fstat; it ends where the read did.
+        got = self.fh.readinto(buf)
+        self.off += got
+        if got != len(buf):
+            raise FormatError(f"{self.path}: truncated while reading {what}", self.off)
+
     def take(self, size, what):
-        if self.off + size > len(self.buf):
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}", len(self.buf)
-            )
-        chunk = self.buf[self.off : self.off + size]
-        self.off += size
-        return chunk
+        self._need(size, what)
+        buf = bytearray(size)
+        self._fill(buf, what)
+        return bytes(buf)
+
+    def array(self, shape, what):
+        """Read a little-endian float64 array straight into its final buffer."""
+        self._need(8 * math.prod(shape), what)
+        arr = np.empty(shape, dtype="<f8")
+        self._fill(memoryview(arr).cast("B"), what)
+        return arr
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
@@ -248,7 +277,7 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def done(self):
-        if self.off != len(self.buf):
+        if self.off != self.size:
             raise FormatError(f"{self.path}: trailing bytes after payload", self.off)
 
 
@@ -268,63 +297,70 @@ def _check_header(reader, magic, kind):
         )
 
 
+def _write_f8(fh, arr):
+    """Write an array as C-ordered little-endian float64 without a bytes copy."""
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+
+
 def save_dataset(ds: Dataset, path):
     """Write the little-endian binary dataset format."""
     dims = ds.feature_dims
-    parts = [
+    header = [
         DATASET_MAGIC,
         struct.pack("<I", FORMAT_VERSION),
         struct.pack("<I", len(dims)),
         struct.pack(f"<{len(dims)}Q", *dims),
         struct.pack("<Q", ds.n),
-        ds.y.astype("<i1").tobytes(),
-        ds.X.astype("<f8", copy=False).tobytes(),
     ]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join(header))
+        fh.write(ds.y.astype("<i1").data)
+        _write_f8(fh, ds.X)
 
 
 def load_dataset(path) -> Dataset:
-    """Read the binary dataset format; raises FormatError with a byte offset."""
+    """Read the binary dataset format; raises FormatError with a byte offset.
+
+    The sample data is read once, straight from the file into the array the
+    returned Dataset holds.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), str(path))
-    _check_header(reader, DATASET_MAGIC, "dataset")
-    ndim = reader.u32("dim count")
-    if ndim < 1:
-        raise FormatError(f"{reader.path}: dim count must be >= 1", reader.off - 4)
-    dims_at = reader.off
-    dims = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim, "dims"))
-    if any(d < 1 for d in dims):
-        raise FormatError(f"{reader.path}: zero extent in dims {dims}", dims_at)
-    n_at = reader.off
-    n = reader.u64("sample count")
-    if n < 1:
-        raise FormatError(f"{reader.path}: sample count must be >= 1", n_at)
-    labels_at = reader.off
-    labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
-    if not set(np.unique(labels).tolist()) <= {-1, 1}:
-        raise FormatError(f"{reader.path}: labels must be -1 or +1", labels_at)
-    per_sample = math.prod(dims)
-    data = np.frombuffer(reader.take(8 * n * per_sample, "sample data"), dtype="<f8")
-    reader.done()
-    X = data.reshape((n,) + dims)
+        reader = _Reader(fh, str(path))
+        _check_header(reader, DATASET_MAGIC, "dataset")
+        ndim = reader.u32("dim count")
+        if ndim < 1:
+            raise FormatError(f"{reader.path}: dim count must be >= 1", reader.off - 4)
+        dims_at = reader.off
+        dims = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim, "dims"))
+        if any(d < 1 for d in dims):
+            raise FormatError(f"{reader.path}: zero extent in dims {dims}", dims_at)
+        n_at = reader.off
+        n = reader.u64("sample count")
+        if n < 1:
+            raise FormatError(f"{reader.path}: sample count must be >= 1", n_at)
+        labels_at = reader.off
+        labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
+        if not set(np.unique(labels).tolist()) <= {-1, 1}:
+            raise FormatError(f"{reader.path}: labels must be -1 or +1", labels_at)
+        X = reader.array((n,) + dims, "sample data")
+        reader.done()
     return Dataset(X, labels.astype(np.float64))
 
 
 def save_params(params, path):
     """Write weight blocks and bias with the same binary conventions."""
     dims = params.block_dims()
-    parts = [
+    header = [
         PARAMS_MAGIC,
         struct.pack("<I", FORMAT_VERSION),
         struct.pack("<I", len(dims)),
         struct.pack(f"<{len(dims)}Q", *dims),
     ]
-    for b in params.blocks:
-        parts.append(b.astype("<f8", copy=False).tobytes())
-    parts.append(struct.pack("<d", params.bias))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join(header))
+        for b in params.blocks:
+            _write_f8(fh, b)
+        fh.write(struct.pack("<d", params.bias))
 
 
 def load_params(path):
@@ -332,19 +368,16 @@ def load_params(path):
     from .model import ModelParams
 
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), str(path))
-    _check_header(reader, PARAMS_MAGIC, "weights")
-    p = reader.u32("block count")
-    if p < 1:
-        raise FormatError(f"{reader.path}: block count must be >= 1", reader.off - 4)
-    dims_at = reader.off
-    dims = struct.unpack(f"<{p}Q", reader.take(8 * p, "block dims"))
-    if any(d < 1 for d in dims):
-        raise FormatError(f"{reader.path}: zero extent in block dims {dims}", dims_at)
-    blocks = []
-    for i, d in enumerate(dims):
-        raw = reader.take(8 * d, f"block {i}")
-        blocks.append(np.frombuffer(raw, dtype="<f8").copy())
-    bias = struct.unpack("<d", reader.take(8, "bias"))[0]
-    reader.done()
+        reader = _Reader(fh, str(path))
+        _check_header(reader, PARAMS_MAGIC, "weights")
+        p = reader.u32("block count")
+        if p < 1:
+            raise FormatError(f"{reader.path}: block count must be >= 1", reader.off - 4)
+        dims_at = reader.off
+        dims = struct.unpack(f"<{p}Q", reader.take(8 * p, "block dims"))
+        if any(d < 1 for d in dims):
+            raise FormatError(f"{reader.path}: zero extent in block dims {dims}", dims_at)
+        blocks = [reader.array((d,), f"block {i}") for i, d in enumerate(dims)]
+        bias = struct.unpack("<d", reader.take(8, "bias"))[0]
+        reader.done()
     return ModelParams(blocks=tuple(blocks), bias=bias)

@@ -26,15 +26,12 @@ def accuracy(margins, labels) -> float:
 def _average_ranks(x):
     """1-based ranks with ties sharing their group's average rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Runs of equal sorted values [start, end] share the rank (start + end) / 2 + 1.
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -133,10 +133,15 @@ def margins(params: ModelParams, data) -> np.ndarray:
     return margin_batch(data.X, params.blocks, params.bias)
 
 
+def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:
+    """Logistic loss summed over the samples of the given margins, plus the
+    blockwise ridge term."""
+    return float(np.sum(logistic_terms(margins, labels))) + ridge_term(blocks, ridge)
+
+
 def smooth_loss(params: ModelParams, data, problem: Problem) -> float:
     """Logistic loss over the dataset plus the blockwise ridge term."""
-    m = margins(params, data)
-    return float(np.sum(logistic_terms(m, data.y))) + ridge_term(params.blocks, problem.ridge)
+    return smooth_loss_from_margins(margins(params, data), data.y, params.blocks, problem.ridge)
 
 
 def is_feasible(blocks, sparsity) -> bool:
@@ -148,7 +153,7 @@ def objective_from_margins(margins, labels, blocks, ridge, sparsity) -> float:
     sparsity cap, otherwise the logistic loss sum plus the ridge term."""
     if not is_feasible(blocks, sparsity):
         return math.inf
-    return float(np.sum(logistic_terms(margins, labels))) + ridge_term(blocks, ridge)
+    return smooth_loss_from_margins(margins, labels, blocks, ridge)
 
 
 def objective(params: ModelParams, data, problem: Problem) -> float:

@@ -37,11 +37,10 @@ from .model import (
     block_step,
     grad_direction_batch,
     is_feasible,
-    logistic_terms,
     loss_coefficients,
     margin_batch,
     objective_from_margins,
-    ridge_term,
+    smooth_loss_from_margins,
 )
 from .prox import project_l0
 
@@ -292,7 +291,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         new_b = base_b - grad_b / tau_bias
 
         m_final = m_blocks + (new_b - base_b)
-        J_next = float(np.sum(logistic_terms(m_final, y))) + ridge_term(work, ridge)
+        J_next = smooth_loss_from_margins(m_final, y, work, ridge)
         gap = sum(float(np.linalg.norm(w - b)) for w, b in zip(work, base))
         gap += abs(new_b - base_b)
 

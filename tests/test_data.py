@@ -1,6 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ml0.data
 from ml0 import (
     Dataset,
     DenseTensor,
@@ -15,6 +19,41 @@ from ml0 import (
     save_params,
     split,
 )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes Python and numpy allocate while fn(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def packed_dataset(X, y):
+    """The dataset format packed by hand from the README layout."""
+    dims = X.shape[1:]
+    return (
+        b"ML0T"
+        + struct.pack("<II", 1, len(dims))
+        + struct.pack(f"<{len(dims)}Q", *dims)
+        + struct.pack("<Q", X.shape[0])
+        + struct.pack(f"<{len(y)}b", *[int(v) for v in y])
+        + struct.pack(f"<{X.size}d", *X.reshape(-1).tolist())
+    )
+
+
+def packed_params(blocks, bias):
+    return (
+        b"ML0W"
+        + struct.pack("<II", 1, len(blocks))
+        + struct.pack(f"<{len(blocks)}Q", *[b.size for b in blocks])
+        + b"".join(struct.pack(f"<{b.size}d", *b.tolist()) for b in blocks)
+        + struct.pack("<d", bias)
+    )
 
 
 def corner_scores(ds, v1, v2):
@@ -46,6 +85,16 @@ class TestDataset:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[np.inf, 0.0]]), [1.0])
+
+    @pytest.mark.parametrize("where", [0, 2**16 - 1, 2**16, 2 * 2**16 + 2])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_found_in_every_block(self, where, bad):
+        X = np.zeros((3, 2**16 + 1))
+        X.reshape(-1)[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(X, [1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.asfortranarray(X), [1.0, -1.0, 1.0])
 
     def test_subset(self):
         rng = np.random.default_rng(0)
@@ -236,6 +285,102 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="labels"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("shape", [(2000, 128), (500, 8, 64), (250, 4, 8, 32)])
+    def test_save_matches_hand_packed_bytes_without_copies(self, tmp_path, shape):
+        rng = np.random.default_rng(14)
+        ds = Dataset(rng.standard_normal(shape), rng.choice([-1.0, 1.0], shape[0]))
+        path = tmp_path / "t.ml0t"
+        peak, _ = traced_peak(save_dataset, ds, path)
+        size = path.stat().st_size
+        assert path.read_bytes() == packed_dataset(ds.X, ds.y)
+        assert peak <= 0.1 * size, f"save peak {peak} B for a {size} B file"
+
+        blocks = tuple(rng.standard_normal(d) for d in shape[1:])
+        wpath = tmp_path / "w.ml0w"
+        save_params(ModelParams(blocks=blocks, bias=0.25), wpath)
+        assert wpath.read_bytes() == packed_params(blocks, 0.25)
+
+    def test_load_peak_is_one_copy_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(15)
+        ds = Dataset(rng.standard_normal((1100, 30, 30)), rng.choice([-1.0, 1.0], 1100))
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        size = path.stat().st_size
+        peak, back = traced_peak(load_dataset, path)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert peak <= 1.1 * size, f"load peak {peak} B is {peak / size:.2f}x the file size"
+
+    # Layout of the file below: magic 0-3, version 4-7, dim count 8-11, dims
+    # 12-27, sample count 28-35, labels 36-39, sample data 40-231.
+    @pytest.mark.parametrize(
+        "cut, what",
+        [(0, "magic"), (2, "magic"), (6, "version"), (9, "dim count"), (20, "dims"),
+         (31, "sample count"), (38, "labels"), (40, "sample data"), (231, "sample data")],
+    )
+    def test_truncation_in_each_section_reports_file_size(self, tmp_path, cut, what):
+        rng = np.random.default_rng(16)
+        ds = Dataset(rng.standard_normal((4, 3, 2)), [1.0, -1.0, -1.0, 1.0])
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FormatError, match=f"truncated while reading {what} ") as err:
+            load_dataset(path)
+        assert err.value.offset == cut
+
+    def test_trailing_bytes_report_end_of_payload(self, tmp_path):
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.standard_normal((4, 3, 2)), [1.0, -1.0, -1.0, 1.0])
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00" * 5)
+        with pytest.raises(FormatError, match="trailing") as err:
+            load_dataset(path)
+        assert err.value.offset == end
+
+    @pytest.mark.parametrize(
+        "dims, n, what", [((3, 2), 2**40, "labels"), ((2**31, 2**31), 1, "sample data")]
+    )
+    def test_huge_declared_size_fails_before_allocating(self, tmp_path, dims, n, what):
+        header = b"ML0T" + struct.pack("<II", 1, 2) + struct.pack("<2Q", *dims)
+        raw = header + struct.pack("<Q", n) + b"\x01" + b"\x00" * 63
+        path = tmp_path / "huge.ml0t"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"truncated while reading {what}") as err:
+            load_dataset(path)
+        assert err.value.offset == len(raw)
+
+    def test_short_read_reports_truncation(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(18)
+        ds = Dataset(rng.standard_normal((4, 3, 2)), [1.0, -1.0, -1.0, 1.0])
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+
+        class ShortReads:
+            """Reads past 64 bytes stop halfway, as if the file shrank after fstat."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def readinto(self, buf):
+                view = memoryview(buf)
+                return self.fh.readinto(view[: len(view) // 2] if len(view) > 64 else view)
+
+        real_open = open
+        monkeypatch.setattr(ml0.data, "open", lambda *a: ShortReads(real_open(*a)), raising=False)
+        with pytest.raises(FormatError, match="truncated while reading sample data") as err:
+            load_dataset(path)
+        assert err.value.offset == 40 + 4 * 3 * 2 * 8 // 2
+
 
 class TestParamsIO:
     def test_round_trip_bitwise(self, tmp_path):
@@ -266,3 +411,19 @@ class TestParamsIO:
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_params(path)
+
+    # Layout: magic 0-3, version 4-7, block count 8-11, block dims 12-27,
+    # block 0 28-51, block 1 52-67, bias 68-75.
+    @pytest.mark.parametrize(
+        "cut, what",
+        [(3, "magic"), (10, "block count"), (27, "block dims"), (30, "block 0"),
+         (60, "block 1"), (75, "bias")],
+    )
+    def test_truncation_in_each_section_reports_file_size(self, tmp_path, cut, what):
+        params = ModelParams(blocks=(np.arange(3.0), np.ones(2)), bias=0.5)
+        path = tmp_path / "w.ml0w"
+        save_params(params, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FormatError, match=f"truncated while reading {what} ") as err:
+            load_params(path)
+        assert err.value.offset == cut

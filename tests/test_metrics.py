@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ml0 import accuracy, auc
+from ml0 import accuracy, auc, metrics
 
 
 def pairwise_auc(margins, labels):
@@ -13,6 +13,21 @@ def pairwise_auc(margins, labels):
     wins = float(np.sum(pos[:, None] > neg[None, :]))
     ties = float(np.sum(pos[:, None] == neg[None, :]))
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def loop_average_ranks(x):
+    """Reference ranks: a walk over the sorted values, one tie group at a time."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestAccuracy:
@@ -77,3 +92,25 @@ class TestAuc:
             # quantized margins force plenty of ties
             m = np.round(rng.standard_normal(n), 1)
             assert auc(m, y) == pairwise_auc(m, y)
+
+    def test_ranks_and_auc_bitwise_equal_loop_reference(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        draws = [np.array([2.5]), np.array([1.0, 1.0]), np.array([3.0, -1.0])]
+        for k in (3, 4, 5):
+            for n in (2, 7, 100, 20000):
+                draws.append(rng.integers(0, k, n).astype(np.float64))
+        draws.append(np.full(500, -0.75))
+        draws.append(rng.choice([0.0, -0.0, 1.0], 300))
+        draws.append(rng.standard_normal(20000))
+        draws.append(np.round(rng.standard_normal(20000), 2))
+        for m in draws:
+            fast = metrics._average_ranks(m)
+            assert fast.tobytes() == loop_average_ranks(m).tobytes()
+            y = np.where(np.arange(m.size) % 2 == 0, 1.0, -1.0)
+            if m.size < 2:
+                continue
+            got = auc(m, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_average_ranks", loop_average_ranks)
+                want = auc(m, y)
+            assert got == want
