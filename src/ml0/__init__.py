@@ -43,7 +43,7 @@ from .solver import (
     run,
     write_trace_csv,
 )
-from .tensor import DenseTensor, contract_all_but, contract_full, mode_k_contract
+from .tensor import DenseTensor, contract_full
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "accuracy",
     "auc",
     "check_stop",
-    "contract_all_but",
     "contract_full",
     "diagnose_sufficient_decrease",
     "generate_synthetic",
@@ -72,7 +71,6 @@ __all__ = [
     "load_dataset",
     "load_params",
     "margins",
-    "mode_k_contract",
     "nesterov_beta",
     "normalize_per_feature",
     "objective",

@@ -73,7 +73,6 @@ def _solver_config(args, schedule):
         t=args.t,
         beta1=args.beta1 if SCHEDULE_NAMES[schedule] == "adaptive" else 0.0,
         beta_max=args.beta_max,
-        gamma=args.gamma,
         tol_obj=args.tol_obj,
         tol_grad=args.tol_grad,
         max_iters=args.max_iters,
@@ -86,7 +85,7 @@ def _config_dump(args, problem, config, extra=None):
         "t": config.t,
         "beta1": config.beta1,
         "beta_max": config.beta_max,
-        "gamma": config.gamma,
+        "gamma": problem.gamma,
         "lambda": list(problem.ridge),
         "sparsity": list(problem.sparsity),
         "sparsity_frac": args.sparsity_frac,

@@ -140,8 +140,8 @@ def generate_synthetic(cfg: SyntheticConfig):
     reflects the bilinear score across the class boundary (clipping scores
     onto the boundary instead leaves the classes barely distinguishable).
     The +margin class gets label +1, the -margin class label -1. Classes are
-    concatenated and then shuffled by the seed. The RNG is numpy's PCG64 so
-    runs reproduce across platforms.
+    drawn in that order into the two halves of one array, then shuffled by
+    the seed. The RNG is numpy's PCG64 so runs reproduce across platforms.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     v1 = rng.uniform(0.0, 1.0, size=cfg.block)
@@ -153,23 +153,22 @@ def generate_synthetic(cfg: SyntheticConfig):
 
     direction = np.outer(v1, v2) / (np.dot(v1, v1) * np.dot(v2, v2))
 
-    def _make_class(lower, upper):
-        X = rng.standard_normal((cfg.per_class, cfg.rows, cfg.cols))
-        corner = X[:, : cfg.block, : cfg.block]
+    # One array for both classes, each half drawn and corrected in place.
+    per = cfg.per_class
+    X = np.empty((2 * per, cfg.rows, cfg.cols))
+    # label +1: score >= +margin; label -1: score <= -margin
+    for half, lower, upper in ((X[:per], cfg.margin, math.inf),
+                               (X[per:], -math.inf, -cfg.margin)):
+        rng.standard_normal(out=half)
+        corner = half[:, : cfg.block, : cfg.block]
         score = np.tensordot(corner, v2, axes=([2], [0])) @ v1 + 1.0
         # Reflect violators across the boundary; the extra hair keeps the
         # inequality true in floating point.
         raw = np.clip(score, lower, upper) - score
         deficit = np.where(raw != 0.0, 2.0 * raw + np.copysign(1e-9, raw), 0.0)
         corner += deficit[:, None, None] * direction
-        return X
-
-    # label +1: score >= +margin; label -1: score <= -margin
-    X_pos = _make_class(cfg.margin, math.inf)
-    X_neg = _make_class(-math.inf, -cfg.margin)
-    X = np.concatenate([X_pos, X_neg])
-    y = np.concatenate([np.ones(cfg.per_class), -np.ones(cfg.per_class)])
-    order = rng.permutation(2 * cfg.per_class)
+    y = np.concatenate([np.ones(per), -np.ones(per)])
+    order = rng.permutation(2 * per)
     return Dataset(X[order], y[order]), (v1, v2)
 
 

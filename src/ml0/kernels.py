@@ -8,18 +8,19 @@ matrix-vector product over the flattened leading axes, any other axis a
 stacked vector-matrix product over the (outer, d, inner) view.
 
 Large sample arrays are split by sample. When each sample along axis 0 holds
-at least `_SPLIT_MIN_SAMPLE` elements, the contracted axis is not axis 0, and
-there are at least two samples per usable core, the samples are cut into one
-contiguous slab per core and each slab runs the same `matmul` on its own
-thread, writing its rows of one preallocated output. numpy releases the
-interpreter lock inside `matmul`, so the slabs stream X in parallel. Every
-slab, the last axis included, runs as a stack of per-sample products, which
-OpenBLAS runs on the calling thread at these sizes; a multithreaded gemv would
-leave BLAS worker threads spinning on the cores the other slabs need. A
-non-last axis gives the same bits as the single call; the last axis sums each
-sample in its own gemv, so it may differ from the single gemv in the last
-bits. Worker threads are started per call and joined before it returns, so
-no pool outlives a call or a `fork`, and they call nothing but numpy.
+at least `_SPLIT_MIN_SAMPLE` elements and the contracted axis is not axis 0,
+the samples are cut into contiguous slabs, one per usable core but at least
+two samples each, and each slab runs the same `matmul` on its own thread,
+writing its rows of one preallocated output. numpy releases the interpreter
+lock inside `matmul`, so the slabs stream X in parallel. Every slab, the last
+axis included, runs as a stack of per-sample products, which OpenBLAS runs on
+the calling thread at these sizes; a multithreaded gemv would leave BLAS
+worker threads spinning on the cores the other slabs need. The path is the
+same on any core count, one slab included, so the bits do not depend on it:
+a non-last axis gives the bits of the single call, and the last axis sums
+each sample in its own gemv. Worker threads are started per call and joined
+before it returns, so no pool outlives a call or a `fork`, and they call
+nothing but numpy.
 """
 
 import math
@@ -41,17 +42,16 @@ def _usable_cores():
 
 
 def _slabs(n):
-    """Sample bounds of one slab per usable core, or None to run one call."""
-    cores = _usable_cores()
-    if cores < 2 or n < 2 * cores:
-        return None
-    return [n * i // cores for i in range(cores + 1)]
+    """Sample bounds of one contiguous slab per usable core, with at least
+    two samples in each slab and at least one slab."""
+    slabs = max(1, min(_usable_cores(), n // 2))
+    return [n * i // slabs for i in range(slabs + 1)]
 
 
 def _run_split(products):
     """Run each (a, b, out) as `np.matmul(a, b, out=out)`: the first on this
-    thread, the rest on one short-lived thread each. Re-raises the first
-    error in slab order after every thread has finished."""
+    thread, the rest on one short-lived thread each (none for one product).
+    Re-raises the first error in slab order after every thread has finished."""
     errors = [None] * len(products)
 
     def work(i):
@@ -82,15 +82,13 @@ def contract_mode(arr, v, axis):
     shape = arr.shape
     d = shape[axis]
     last = axis == len(shape) - 1
-    bounds = None
-    if axis and arr.size >= _SPLIT_MIN_SAMPLE * shape[0]:
-        bounds = _slabs(shape[0])
-    if bounds is None:
+    if not axis or arr.size < _SPLIT_MIN_SAMPLE * shape[0]:
         if last:
             out = arr.reshape(-1, d) @ v
         else:
             out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
         return out.reshape(shape[:axis] + shape[axis + 1 :])
+    bounds = _slabs(shape[0])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
     inner = math.prod(shape[axis + 1 :])
     products = []

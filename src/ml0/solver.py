@@ -26,7 +26,7 @@ contracts X.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .model import (
     block_step,
     grad_direction_batch,
     is_feasible,
+    lipschitz_bias,
     loss_coefficients,
     margin_batch,
     objective_from_margins,
@@ -50,13 +51,13 @@ SCHEDULES = ("adaptive", "nesterov", "none")
 @dataclass
 class SolverConfig:
     """Solver hyperparameters. Defaults follow the reference setup:
-    t=1.3, beta1=0.6, beta_max=0.9999, gamma=1.5, tolerances 1e-5 / 1e-4."""
+    t=1.3, beta1=0.6, beta_max=0.9999, tolerances 1e-5 / 1e-4. The
+    step-size inflation factor gamma belongs to the `Problem`."""
 
     schedule: str = "adaptive"
     t: float = 1.3
     beta1: float = 0.6
     beta_max: float = 0.9999
-    gamma: float = 1.5
     tol_obj: float = 1e-5
     tol_grad: float = 1e-4
     max_iters: int = 2000
@@ -73,8 +74,6 @@ class SolverConfig:
             raise ValueError(
                 f"beta1 must lie in [0, beta_max={self.beta_max}], got {self.beta1}"
             )
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.tol_obj <= 0 or self.tol_grad <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
@@ -102,6 +101,7 @@ class SolveResult:
     params: ModelParams
     trace: list
     stop_reason: str
+    problem: Problem
     config: SolverConfig
     # Per-iteration extras consumed by the convergence diagnostics: objective
     # at the prox base point and the smallest step-size constant of the sweep.
@@ -207,12 +207,11 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         raise ValueError(f"sparsity caps {problem.sparsity} exceed block lengths {dims}")
     if not is_feasible(init.blocks, problem.sparsity):
         raise ValueError("initial point violates its sparsity caps")
-    problem = replace(problem, gamma=config.gamma)
 
     X, y = data.X, data.y
     n = data.n
     ridge, sparsity, gamma = problem.ridge, problem.sparsity, problem.gamma
-    tau_bias = gamma * n / 4.0
+    tau_bias = lipschitz_bias(data, problem)
 
     cur = [b.copy() for b in init.blocks]
     prev = [b.copy() for b in init.blocks]
@@ -333,6 +332,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         params=params,
         trace=trace,
         stop_reason=stop_reason,
+        problem=problem,
         config=config,
         base_objectives=base_objectives,
         min_taus=min_taus,
@@ -359,7 +359,7 @@ def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None, tol=1e-9):
     Also summarizes the gap decay: mean gap over the first and last tenth of
     the iterations.
     """
-    gamma = result.config.gamma
+    gamma = result.problem.gamma
     gaps = [row.gap for row in result.trace]
     worst = -math.inf
     violations = 0

@@ -1,10 +1,10 @@
-"""Dense tensors and the mode-k contractions behind every prediction and gradient."""
+"""Dense single-sample tensors and the full multilinear form that scores one."""
 
 import math
 
 import numpy as np
 
-from .kernels import contract_down, contract_mode
+from .kernels import contract_down
 
 
 class DenseTensor:
@@ -13,9 +13,7 @@ class DenseTensor:
     Parameters
     ----------
     dims : sequence of int
-        Extents (d_1, ..., d_p), every extent >= 1. An empty tuple denotes
-        an order-0 scalar holder, produced when an order-1 tensor is
-        contracted.
+        Extents (d_1, ..., d_p), p >= 1, every extent >= 1.
     data : array-like
         Flat values of length prod(dims), row-major (last index fastest).
         All entries must be finite.
@@ -25,8 +23,8 @@ class DenseTensor:
 
     def __init__(self, dims, data):
         dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all extents must be >= 1, got {dims}")
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"need one or more extents, all >= 1, got {dims}")
         flat = np.asarray(data, dtype=np.float64).reshape(-1)
         expected = math.prod(dims)
         if flat.size != expected:
@@ -63,19 +61,8 @@ class DenseTensor:
         """Read-only ndarray view shaped to dims."""
         return self._data.reshape(self._dims)
 
-    def item(self):
-        """Scalar value of an order-0 or single-entry tensor."""
-        if self._data.size != 1:
-            raise ValueError(f"tensor with dims {self._dims} is not a scalar")
-        return float(self._data[0])
-
     def __repr__(self):
         return f"DenseTensor(dims={self._dims})"
-
-
-def _check_mode(t, mode):
-    if not 0 <= mode < t.order:
-        raise IndexError(f"mode {mode} out of range for order-{t.order} tensor")
 
 
 def _check_vector(v, extent, what):
@@ -83,35 +70,6 @@ def _check_vector(v, extent, what):
     if v.ndim != 1 or v.size != extent:
         raise ValueError(f"{what} must be a vector of length {extent}, got shape {v.shape}")
     return v
-
-
-def mode_k_contract(t, v, mode):
-    """Contract mode `mode` of t with vector v, reducing the order by one.
-
-    The entry at multi-index (i_1, ..., without i_mode, ..., i_p) of the
-    result is sum_j t(i_1, ..., j, ..., i_p) * v(j). Contracting an order-1
-    tensor yields an order-0 scalar holder.
-    """
-    _check_mode(t, mode)
-    v = _check_vector(v, t.dims[mode], f"mode-{mode} vector")
-    out = contract_mode(t.array, v, mode)
-    return DenseTensor(out.shape, out.reshape(-1))
-
-
-def contract_all_but(t, blocks, skip):
-    """Contract every mode except `skip` with its block vector.
-
-    Returns the length-d_skip vector that is the gradient direction of the
-    multilinear form with respect to block `skip`. blocks[skip] is ignored
-    (it may be None).
-    """
-    _check_mode(t, skip)
-    if len(blocks) != t.order:
-        raise ValueError(f"expected {t.order} block vectors, got {len(blocks)}")
-    axes = [k for k in range(t.order) if k != skip]
-    vecs = [_check_vector(blocks[k], t.dims[k], f"block {k}") for k in axes]
-    out = contract_down(t.array, vecs, axes)
-    return out.reshape(t.dims[skip])
 
 
 def contract_full(t, blocks):

@@ -1,5 +1,7 @@
+import hashlib
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +140,21 @@ class TestGenerateSynthetic:
     def test_block_must_fit(self):
         with pytest.raises(ValueError, match="block"):
             SyntheticConfig(rows=4, cols=4, block=5, per_class=1)
+
+    def test_bits_pinned_and_peak_is_two_copies_of_x(self):
+        # Digests of the generator that concatenated the two classes (numpy
+        # 2.4.6, OpenBLAS): drawing both into one array must keep every bit.
+        # The corner scores go through BLAS, so another BLAS may move them.
+        cfg = SyntheticConfig(rows=30, cols=30, block=5, per_class=1000, margin=0.5, seed=2)
+        generate_synthetic(replace(cfg, per_class=1))  # keeps first-call imports out of the peak
+        peak, (ds, _) = traced_peak(generate_synthetic, cfg)
+        assert hashlib.sha256(ds.X.tobytes()).hexdigest() == (
+            "0ec61f51b28bf9b71f75de9fa5aae4b3acef27f6eb09fda678073b7ddb2e4168")
+        assert hashlib.sha256(ds.y.tobytes()).hexdigest() == (
+            "588607c5d48c2f1f8ddeb4320ad74acbc5d4a053ec9301f2a53a772b62717942")
+        # X itself and its shuffled copy; a third copy would show as 3x.
+        size = ds.X.nbytes
+        assert peak <= 2.1 * size, f"peak {peak} B is {peak / size:.2f}x X"
 
 
 class TestNormalize:

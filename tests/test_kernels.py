@@ -112,32 +112,55 @@ def test_split_bits_do_not_depend_on_worker_count(split_calls, monkeypatch):
     assert split_calls == [2, 3, 5, 2, 3, 5]
 
 
-@pytest.mark.parametrize("workers,n", [(1, 40), (2, 3), (4, 7)])
-def test_unsplit_with_one_core_or_few_samples(split_calls, monkeypatch, workers, n):
-    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+def test_bits_do_not_depend_on_core_count(split_calls, monkeypatch):
+    """Above the cutoff every core count takes the slab path, one slab
+    included, so every axis gives the same bits on 1 to 4 cores."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     rng = np.random.default_rng(13)
-    arr = rng.standard_normal((n, 4, 5))
-    for axis in (1, 2):
-        v = rng.standard_normal(arr.shape[axis])
-        np.testing.assert_array_equal(kernels.contract_mode(arr, v, axis), _single(arr, v, axis))
-    assert split_calls == []
+    # The d=130 last axis is where stacked per-sample gemvs and one gemv round
+    # apart; extent-1 axes put outer == 1 and inner == 1 on the other axes.
+    tails = [(130,), (5, 130), (3, 4, 5), (1, 6, 1)]
+    for n in range(1, 2 * 4 + 2):
+        for tail in tails:
+            arr = np.ascontiguousarray(rng.standard_normal((n,) + tail))
+            for axis in range(1, arr.ndim):
+                v = rng.standard_normal(arr.shape[axis])
+                outs = {}
+                for cores in (1, 2, 3, 4):
+                    monkeypatch.setattr(kernels, "_usable_cores", lambda c=cores: c)
+                    del split_calls[:], started[:]
+                    outs[cores] = kernels.contract_mode(arr, v, axis)
+                    assert split_calls == [max(1, min(cores, n // 2))]
+                    assert len(started) == split_calls[0] - 1
+                for out in outs.values():
+                    np.testing.assert_array_equal(out, outs[1])
+                if axis < arr.ndim - 1:
+                    np.testing.assert_array_equal(outs[1], _single(arr, v, axis))
 
 
 def test_default_cutoff_splits_only_large_samples(run_split_calls, monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     calls = run_split_calls
     # 30x30 samples (desk and score scale) and 120x120 ones (14,400 elements)
-    # stay whole; 130x130 samples (16,900) split once n reaches 2 per core.
-    cases = [((40, 30, 30), False), ((4, 120, 120), False), ((3, 130, 130), False),
-             ((4, 130, 130), True)]
-    for shape, split in cases:
+    # stay whole; 130x130 samples (16,900) take the slab path, one slab per
+    # two samples up to one per core.
+    cases = [((40, 30, 30), 0), ((4, 120, 120), 0), ((3, 130, 130), 1), ((4, 130, 130), 2)]
+    for shape, slabs in cases:
         arr = np.ones(shape)
         for axis, d in enumerate(shape):
             before = len(calls)
             kernels.contract_mode(arr, np.ones(d), axis)
-            assert len(calls) - before == int(split and axis > 0), (shape, axis)
+            assert calls[before:] == ([slabs] if slabs and axis > 0 else []), (shape, axis)
     assert kernels._slabs(801) == [0, 400, 801]
-    assert kernels._slabs(3) is None
+    assert kernels._slabs(3) == [0, 3]
+    assert kernels._slabs(1) == [0, 1]
 
 
 def test_wrong_vector_length_raises_as_single_call(split_calls, monkeypatch):

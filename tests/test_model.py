@@ -17,6 +17,7 @@ from ml0 import (
     predict,
     smooth_loss,
 )
+from ml0.model import grad_direction_batch, margin_batch
 
 
 def random_instance(rng, p=None, max_dim=5, max_n=20, lam=2e-4):
@@ -194,6 +195,32 @@ class TestGradients:
         params, data, problem = random_instance(rng, p=2)
         with pytest.raises(IndexError):
             grad_block(params, data, problem, 2)
+
+
+class TestGradDirectionBatch:
+    def test_basis_blocks_extract_fiber(self):
+        rng = np.random.default_rng(1)
+        for dims in [(5,), (3, 4), (3, 4, 5)]:
+            X = rng.standard_normal((6,) + dims)
+            picks = [int(rng.integers(d)) for d in dims]
+            blocks = [np.eye(d)[i] for d, i in zip(dims, picks)]
+            for skip in range(len(dims)):
+                fiber = tuple(slice(None) if k == skip else i for k, i in enumerate(picks))
+                got = grad_direction_batch(X, blocks, skip)
+                np.testing.assert_array_equal(got, X[(slice(None),) + fiber])
+
+    def test_dot_with_own_block_equals_margin_minus_bias(self):
+        rng = np.random.default_rng(7)
+        for p in (1, 2, 3):
+            for _ in range(10):
+                params, data, _ = random_instance(rng, p=p)
+                m = margin_batch(data.X, params.blocks, params.bias) - params.bias
+                for skip in range(p):
+                    G = grad_direction_batch(data.X, params.blocks, skip)
+                    assert G.shape == (data.n, params.blocks[skip].size)
+                    np.testing.assert_allclose(
+                        G @ params.blocks[skip], m, rtol=1e-12, atol=1e-12
+                    )
 
 
 class TestLipschitz:

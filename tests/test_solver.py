@@ -13,6 +13,7 @@ from ml0 import (
     check_stop,
     diagnose_sufficient_decrease,
     generate_synthetic,
+    lipschitz_bias,
     nesterov_beta,
     project_l0,
     random_init,
@@ -179,9 +180,7 @@ class TestRunBasics:
 
     def test_defaults_mirror_reference_setup(self):
         config = SolverConfig()
-        assert (config.t, config.beta1, config.beta_max, config.gamma) == (
-            1.3, 0.6, 0.9999, 1.5,
-        )
+        assert (config.t, config.beta1, config.beta_max) == (1.3, 0.6, 0.9999)
         assert (config.tol_obj, config.tol_grad) == (1e-5, 1e-4)
 
     def test_config_validation(self):
@@ -191,10 +190,10 @@ class TestRunBasics:
             SolverConfig(beta1=0.5, beta_max=0.4)
         with pytest.raises(ValueError):
             SolverConfig(schedule="magic")
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.0)
         with pytest.raises(TypeError):  # the seed belongs to the initial point
             SolverConfig(seed=0)
+        with pytest.raises(TypeError):  # gamma belongs to the problem
+            SolverConfig(gamma=1.5)
 
 
 class TestRunInvariants:
@@ -282,16 +281,19 @@ class TestRunInvariants:
         assert result.stop_reason == "max_seconds"
         assert len(result.trace) < 10
 
-    def test_gamma_from_config_overrides_problem(self):
+    def test_problem_gamma_scales_step_sizes(self):
         rng = np.random.default_rng(6)
         data = toy_dataset(rng)
-        problem = Problem(
-            ridge=(0.0, 0.0), sparsity=(2, 2), gamma=7.0
-        )
-        init = random_init(data.feature_dims, problem.sparsity, seed=6)
-        result = run(problem, data, init, SolverConfig(gamma=1.5, max_iters=3))
-        # bias constant gamma*n/4 lands in min_taus when smallest
-        assert min(result.min_taus) <= 1.5 * data.n / 4.0 + 1e-12
+        init = random_init(data.feature_dims, (2, 2), seed=6)
+        first = {}
+        for gamma in (1.5, 7.0):
+            problem = Problem(ridge=(0.0, 0.0), sparsity=(2, 2), gamma=gamma)
+            result = run(problem, data, init, SolverConfig(max_iters=3))
+            assert result.problem is problem
+            # Without ridge the bias constant gamma*n/4 is the smallest tau.
+            assert result.min_taus[0] == lipschitz_bias(data, problem)
+            first[gamma] = result.min_taus[0]
+        assert first[7.0] * 1.5 == first[1.5] * 7.0
 
 
 class TestDeterminism:

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ml0 import DenseTensor, contract_all_but, contract_full, mode_k_contract
-
-
-def contract_oracle(arr, v, axis):
-    """Brute-force mode contraction straight from the definition."""
-    out = np.zeros(arr.shape[:axis] + arr.shape[axis + 1 :])
-    for idx in np.ndindex(*arr.shape):
-        out[idx[:axis] + idx[axis + 1 :]] += arr[idx] * v[idx[axis]]
-    return out
+from ml0 import DenseTensor, contract_full
+from ml0.kernels import contract_mode
 
 
 def random_tensor(rng, max_order=4, max_dim=6):
@@ -43,95 +36,8 @@ class TestDenseTensor:
     def test_zero_extent_rejected(self):
         with pytest.raises(ValueError, match="extents"):
             DenseTensor((2, 0), [])
-
-    def test_scalar_holder(self):
-        t = DenseTensor((), [4.5])
-        assert t.order == 0
-        assert t.item() == 4.5
-
-
-class TestModeKContract:
-    def test_basis_vector_selects_row(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        out = mode_k_contract(t, [1.0, 0.0], 0)
-        np.testing.assert_array_equal(out.array, [1.0, 2.0])
-
-    def test_ones_vector_sums_mode(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        out = mode_k_contract(t, [1.0, 1.0], 1)
-        expected = contract_oracle(t.array, np.ones(2), 1)
-        np.testing.assert_array_equal(out.array, [3.0, 7.0])
-        np.testing.assert_array_equal(out.array, expected)
-
-    def test_zero_vector_gives_zero_tensor(self):
-        rng = np.random.default_rng(0)
-        t = DenseTensor.from_array(rng.standard_normal((3, 4, 2)))
-        out = mode_k_contract(t, np.zeros(4), 1)
-        assert out.dims == (3, 2)
-        np.testing.assert_array_equal(out.array, np.zeros((3, 2)))
-
-    def test_order_one_gives_scalar_holder(self):
-        t = DenseTensor.from_array([2.0, 3.0])
-        out = mode_k_contract(t, [10.0, 1.0], 0)
-        assert out.dims == ()
-        assert out.item() == 23.0
-
-    def test_matches_bruteforce_on_random_tensors(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            t = random_tensor(rng)
-            axis = int(rng.integers(t.order))
-            v = rng.standard_normal(t.dims[axis])
-            got = mode_k_contract(t, v, axis).array
-            want = contract_oracle(t.array, v, axis)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_wrong_length_raises(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="length"):
-            mode_k_contract(t, [1.0, 2.0, 3.0], 0)
-
-    def test_mode_out_of_range_raises(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(IndexError):
-            mode_k_contract(t, [1.0, 0.0], 2)
-
-
-class TestContractAllBut:
-    def test_matrix_skip_first(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        out = contract_all_but(t, [None, np.array([1.0, 0.0])], 0)
-        np.testing.assert_array_equal(out, [1.0, 3.0])
-
-    def test_vector_returns_itself(self):
-        t = DenseTensor.from_array([5.0, -1.0, 2.0])
-        out = contract_all_but(t, [None], 0)
-        np.testing.assert_array_equal(out, [5.0, -1.0, 2.0])
-
-    def test_basis_blocks_extract_fiber(self):
-        rng = np.random.default_rng(1)
-        arr = rng.standard_normal((3, 4, 5))
-        t = DenseTensor.from_array(arr)
-        e = [np.eye(d)[0] for d in (3, 4, 5)]
-        out = contract_all_but(t, e, 1)
-        np.testing.assert_allclose(out, arr[0, :, 0], rtol=1e-14)
-
-    def test_dot_with_own_block_equals_full(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            t = random_tensor(rng)
-            blocks = [rng.standard_normal(d) for d in t.dims]
-            skip = int(rng.integers(t.order))
-            direction = contract_all_but(t, blocks, skip)
-            full = contract_full(t, blocks)
-            np.testing.assert_allclose(
-                float(direction @ blocks[skip]), full, rtol=1e-12, atol=1e-12
-            )
-
-    def test_shape_mismatch_raises(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError):
-            contract_all_but(t, [None, np.ones(3)], 0)
+        with pytest.raises(ValueError, match="extents"):
+            DenseTensor((), [4.5])
 
 
 class TestContractFull:
@@ -158,13 +64,13 @@ class TestContractFull:
             want = contract_full(t, blocks)
             perm = rng.permutation(t.order)
             # contract one mode at a time in a random order
-            cur = t
+            cur = t.array
             remaining = list(range(t.order))
             for mode in perm:
                 pos = remaining.index(mode)
-                cur = mode_k_contract(cur, blocks[mode], pos)
+                cur = contract_mode(cur, blocks[mode], pos)
                 remaining.pop(pos)
-            np.testing.assert_allclose(cur.item(), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(float(cur), want, rtol=1e-12, atol=1e-12)
 
     def test_linearity_in_each_block(self):
         rng = np.random.default_rng(13)
