@@ -112,6 +112,30 @@ def test_split_bits_do_not_depend_on_worker_count(split_calls, monkeypatch):
     assert split_calls == [2, 3, 5, 2, 3, 5]
 
 
+@pytest.mark.parametrize("workers,n", [(1, 40), (2, 3), (4, 7)])
+def test_unsplit_with_one_core_or_few_samples(split_calls, monkeypatch, workers, n):
+    """One core, or fewer than two samples per core, gives the bits of a
+    single call: as many slabs as two samples each allow, at most one per
+    core, and no thread started for a single slab."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(13)
+    arr = rng.standard_normal((n, 4, 5))
+    for axis in (1, 2):
+        v = rng.standard_normal(arr.shape[axis])
+        np.testing.assert_array_equal(kernels.contract_mode(arr, v, axis), _single(arr, v, axis))
+    slabs = max(1, min(workers, n // 2))
+    assert split_calls == [slabs, slabs]
+    assert len(started) == 2 * (slabs - 1)
+
+
 def test_bits_do_not_depend_on_core_count(split_calls, monkeypatch):
     """Above the cutoff every core count takes the slab path, one slab
     included, so every axis gives the same bits on 1 to 4 cores."""
