@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime or data error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,26 +30,32 @@ from .data import (
     split,
 )
 from .metrics import accuracy, auc
-from .model import Problem, margin_batch, objective_from_margins
+from .model import Problem, margins, objective_from_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--t", type=float, default=1.3, help="momentum growth/decay factor")
-    sub.add_argument("--beta1", type=float, default=0.6, help="initial momentum factor")
-    sub.add_argument("--beta-max", type=float, default=0.9999, help="momentum cap")
-    sub.add_argument("--gamma", type=float, default=1.5, help="step-size inflation factor")
+    sub.add_argument("--t", type=float, default=SolverConfig.t,
+                     help="momentum growth/decay factor")
+    sub.add_argument("--beta1", type=float, default=SolverConfig.beta1,
+                     help="initial momentum factor")
+    sub.add_argument("--beta-max", type=float, default=SolverConfig.beta_max,
+                     help="momentum cap")
+    sub.add_argument("--gamma", type=float, default=Problem.gamma,
+                     help="step-size inflation factor")
     sub.add_argument("--lambda", dest="lam", type=float, action="append",
                      help="ridge weight; repeat once per block or give once to broadcast "
                           "(default: 2e-4)")
     sub.add_argument("--sparsity-frac", type=float, default=0.30,
                      help="per-block nonzero budget as a fraction of the block length")
-    sub.add_argument("--tol-obj", type=float, default=1e-5, help="objective-change tolerance")
-    sub.add_argument("--tol-grad", type=float, default=1e-4, help="gradient-change tolerance")
-    sub.add_argument("--max-iters", type=int, default=2000)
-    sub.add_argument("--max-seconds", type=float, default=60.0)
+    sub.add_argument("--tol-obj", type=float, default=SolverConfig.tol_obj,
+                     help="objective-change tolerance")
+    sub.add_argument("--tol-grad", type=float, default=SolverConfig.tol_grad,
+                     help="gradient-change tolerance")
+    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    sub.add_argument("--max-seconds", type=float, default=SolverConfig.max_seconds)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--no-wall-time", action="store_true",
                      help="record 0.0 for elapsed times so outputs are byte-reproducible")
@@ -68,35 +75,29 @@ def _resolve_problem(args, dims):
 
 
 def _solver_config(args, schedule):
-    return SolverConfig(
-        schedule=SCHEDULE_NAMES[schedule],
-        t=args.t,
-        beta1=args.beta1 if SCHEDULE_NAMES[schedule] == "adaptive" else 0.0,
-        beta_max=args.beta_max,
-        tol_obj=args.tol_obj,
-        tol_grad=args.tol_grad,
-        max_iters=args.max_iters,
-        max_seconds=args.max_seconds,
-    )
+    """Every solver field but the schedule from the flag of its name; only
+    apalm+ starts with momentum."""
+    name = SCHEDULE_NAMES[schedule]
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
+              if f.name != "schedule"}
+    if name != "adaptive":
+        fields["beta1"] = 0.0
+    return SolverConfig(schedule=name, **fields)
 
 
-def _config_dump(args, problem, config, extra=None):
-    dump = {
-        "t": config.t,
-        "beta1": config.beta1,
-        "beta_max": config.beta_max,
+def _config_dump(args, problem, config, extra):
+    """Sidecar settings: every solver field but the schedule (its CLI name
+    goes in `extra`), the problem, and the CLI's own settings."""
+    dump = dataclasses.asdict(config)
+    del dump["schedule"]
+    dump.update({
         "gamma": problem.gamma,
         "lambda": list(problem.ridge),
         "sparsity": list(problem.sparsity),
         "sparsity_frac": args.sparsity_frac,
-        "tol_obj": config.tol_obj,
-        "tol_grad": config.tol_grad,
-        "max_iters": config.max_iters,
-        "max_seconds": config.max_seconds,
         "seed": args.seed,
-    }
-    if extra:
-        dump.update(extra)
+    })
+    dump.update(extra)
     return dump
 
 
@@ -159,30 +160,28 @@ def cmd_train(args):
     return 0
 
 
-def _load_model_sidecar(model_path):
+def _sidecar_problem(model_path, params):
+    """The ridge weights and sparsity caps a model was trained with, read
+    from its sidecar and checked against the model's blocks."""
+    path = f"{model_path}.json"
     try:
-        with open(str(model_path) + ".json", "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        problem = Problem(ridge=tuple(sidecar["lambda"]), sparsity=tuple(sidecar["sparsity"]))
+        problem.check_dims(params.block_dims())
     except FileNotFoundError:
         raise ValueError(
-            f"missing sidecar {model_path}.json (needed for the ridge/sparsity settings)"
-        ) from None
+            f"missing sidecar {path} (needed for the ridge/sparsity settings)") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"sidecar {path} has no valid lambda and sparsity: {exc!r}") from None
+    return problem
 
 
 def cmd_eval(args):
     params = load_params(args.model)
+    problem = _sidecar_problem(args.model, params)
     ds = load_dataset(args.dataset)
-    if params.block_dims() != ds.feature_dims:
-        raise ValueError(
-            f"model dims {params.block_dims()} do not match dataset dims {ds.feature_dims}"
-        )
-    sidecar = _load_model_sidecar(args.model)
-    problem = Problem(
-        ridge=tuple(sidecar["lambda"]),
-        sparsity=tuple(sidecar["sparsity"]),
-        gamma=sidecar["gamma"],
-    )
-    m = margin_batch(ds.X, params.blocks, params.bias)
+    m = margins(params, ds)
     report = {
         "accuracy": accuracy(m, ds.y),
         "auc": auc(m, ds.y),
@@ -234,7 +233,7 @@ def cmd_bench(args):
         for name in schedules:
             config = _solver_config(args, name)
             result = run(problem, train_ds, init, config, time_source=time_source)
-            m = margin_batch(test_ds.X, result.params.blocks, result.params.bias)
+            m = margins(result.params, test_ds)
             row = {
                 "objective": result.trace[-1].objective if result.trace else math.nan,
                 "iterations": len(result.trace),

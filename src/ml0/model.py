@@ -70,13 +70,20 @@ class Problem:
         object.__setattr__(self, "sparsity", sparsity)
         object.__setattr__(self, "gamma", float(self.gamma))
 
+    def check_dims(self, dims):
+        """Raise unless each block has one ridge weight and a cap within its length."""
+        if len(self.sparsity) != len(dims):
+            raise ValueError(f"{len(self.sparsity)} ridge/sparsity entries for {len(dims)} blocks")
+        if any(s > d for s, d in zip(self.sparsity, dims)):
+            raise ValueError(f"sparsity caps {self.sparsity} exceed block lengths {dims}")
 
-def _check_shapes(blocks, data):
+
+def _check_shapes(blocks, data, problem=None):
     dims = tuple(b.size for b in blocks)
     if dims != data.feature_dims:
-        raise ValueError(
-            f"block lengths {dims} do not match sample dims {data.feature_dims}"
-        )
+        raise ValueError(f"block lengths {dims} do not match sample dims {data.feature_dims}")
+    if problem is not None:
+        problem.check_dims(dims)
 
 
 def margin_batch(X, blocks, bias):
@@ -141,6 +148,7 @@ def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:
 
 def smooth_loss(params: ModelParams, data, problem: Problem) -> float:
     """Logistic loss over the dataset plus the blockwise ridge term."""
+    _check_shapes(params.blocks, data, problem)
     return smooth_loss_from_margins(margins(params, data), data.y, params.blocks, problem.ridge)
 
 
@@ -158,6 +166,7 @@ def objective_from_margins(margins, labels, blocks, ridge, sparsity) -> float:
 
 def objective(params: ModelParams, data, problem: Problem) -> float:
     """Smooth loss if every block satisfies its sparsity cap, +inf otherwise."""
+    _check_shapes(params.blocks, data, problem)
     return objective_from_margins(
         margins(params, data), data.y, params.blocks, problem.ridge, problem.sparsity
     )
@@ -178,7 +187,7 @@ def _block_step_at(params, data, problem, j):
     p = params.order
     if not 0 <= j < p:
         raise IndexError(f"block index {j} out of range for {p} blocks")
-    _check_shapes(params.blocks, data)
+    _check_shapes(params.blocks, data, problem)
     G = grad_direction_batch(data.X, params.blocks, j)
     return block_step(G, params.blocks[j], params.bias, data.y, problem.ridge[j], problem.gamma)
 

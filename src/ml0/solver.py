@@ -34,6 +34,7 @@ from .kernels import contract_mode
 from .model import (
     ModelParams,
     Problem,
+    _check_shapes,
     block_step,
     grad_direction_batch,
     is_feasible,
@@ -43,7 +44,7 @@ from .model import (
     objective_from_margins,
     smooth_loss_from_margins,
 )
-from .prox import project_l0
+from .prox import prox_block_step
 
 SCHEDULES = ("adaptive", "nesterov", "none")
 
@@ -198,13 +199,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     """
     clock = time_source if time_source is not None else time.perf_counter
     p = init.order
-    dims = init.block_dims()
-    if data.feature_dims != dims:
-        raise ValueError(f"initial blocks {dims} do not match data dims {data.feature_dims}")
-    if len(problem.ridge) != p:
-        raise ValueError(f"{len(problem.ridge)} ridge weights for {p} blocks")
-    if any(s > d for s, d in zip(problem.sparsity, dims)):
-        raise ValueError(f"sparsity caps {problem.sparsity} exceed block lengths {dims}")
+    _check_shapes(init.blocks, data, problem)
     if not is_feasible(init.blocks, problem.sparsity):
         raise ValueError("initial point violates its sparsity caps")
 
@@ -234,18 +229,14 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             stop_reason = "max_seconds"
             break
 
+        # Extrapolate only along a step that moved; at beta 0 or at a
+        # repeated iterate the extrapolated point is the current one.
         beta_used = beta
-        moved = beta != 0.0 and (
+        base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
+        accepted = True
+        if beta != 0.0 and (
             any(not np.array_equal(c, q) for c, q in zip(cur, prev)) or cur_b != prev_b
-        )
-        if config.schedule == "none" or not moved:
-            base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
-            accepted = True
-            if config.schedule == "adaptive":
-                beta = min(config.beta_max, config.t * beta)
-            elif config.schedule == "nesterov":
-                t_k, beta = nesterov_beta(t_k)
-        else:
+        ):
             y_blocks = [c + beta * (c - q) for c, q in zip(cur, prev)]
             y_bias = cur_b + beta * (cur_b - prev_b)
             # X x_p is linear, so P at the extrapolated point needs no pass over X.
@@ -255,16 +246,15 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             J_y, _ = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity, P_y)
             if config.schedule == "nesterov" or J_y <= J_cur:
                 base, base_b, J_base, P_base = y_blocks, y_bias, J_y, P_y
-                accepted = True
             else:
-                base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
                 accepted = False
-            if config.schedule == "nesterov":
-                t_k, beta = nesterov_beta(t_k)
-            elif accepted:
-                beta = min(config.beta_max, config.t * beta)
-            else:
-                beta = beta / config.t
+        # The none schedule starts at beta 0, and 0 grows to 0.
+        if config.schedule == "nesterov":
+            t_k, beta = nesterov_beta(t_k)
+        elif accepted:
+            beta = min(config.beta_max, config.t * beta)
+        else:
+            beta = beta / config.t
 
         # Cyclic block sweep: blocks before j are already updated, the rest
         # sit at the base point, so the step-size constant is fresh for j.
@@ -278,7 +268,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             else:
                 G = grad_direction_batch(X, work, j)
             grad, tau = block_step(G, work[j], base_b, y, ridge[j], gamma)
-            work[j] = project_l0(work[j] - grad / tau, sparsity[j])
+            work[j] = prox_block_step(work[j], grad, tau, sparsity[j])
             min_tau = min(min_tau, tau)
         # Only P_cur outlives the sweep; the stop test computes the next one.
         P_y = P_base = P_prev = None

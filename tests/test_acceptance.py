@@ -138,10 +138,10 @@ def test_criterion_01_prox_oracle_equivalence():
     elapsed = time.perf_counter() - t0
     report(
         1,
-        failures == 0 and elapsed < 5.0,
+        failures == 0 and prox_time < 5.0,
         f"hard-thresholding equals exhaustive support enumeration on {checked} "
-        f"cases, {failures} failures, {elapsed:.2f} s (< 5 s), "
-        f"{prox_time:.2f} s in project_l0",
+        f"cases, {failures} failures, {prox_time:.2f} s in project_l0 (< 5 s), "
+        f"{elapsed:.2f} s with the oracle",
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from ml0 import (
     random_init,
     run,
 )
-from ml0.cli import main
+from ml0 import cli
+from ml0.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,45 @@ class TestTrain:
         assert rc == 1
 
 
+SOLVER_FIELDS = [f for f in dataclasses.fields(SolverConfig) if f.name != "schedule"]
+
+
+class TestSettingsContract:
+    """Each solver setting is declared once: the flags take their defaults
+    from `SolverConfig` and `Problem`, and the sidecar records every field."""
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_every_field_has_a_flag_with_its_default(self, command):
+        parser = build_parser()
+        base = [command, "data.ml0t", "-o", "out"]
+        defaults = parser.parse_args(base)
+        assert defaults.gamma == Problem.gamma
+        for f in SOLVER_FIELDS:
+            assert getattr(defaults, f.name) == f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            value = f.type(f.default * 2)
+            assert getattr(parser.parse_args(base + [flag, str(value)]), f.name) == value
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_no_flags_build_the_defaults(self, command, toy_dataset, tmp_path, monkeypatch):
+        solves = []
+
+        def recording(problem, data, init, config, **kwargs):
+            solves.append((problem, config))
+            return run(problem, data, init, dataclasses.replace(config, max_iters=3), **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording)
+        out = tmp_path / "out"
+        assert main([command, str(toy_dataset), "-o", str(out)]) == 0
+        apalm_plus = [config for _, config in solves if config.schedule == "adaptive"]
+        assert apalm_plus and all(config == SolverConfig() for config in apalm_plus)
+        assert all(problem.gamma == Problem.gamma for problem, _ in solves)
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert sidecar["gamma"] == Problem.gamma
+        for f in SOLVER_FIELDS:
+            assert sidecar[f.name] == f.default, f.name
+
+
 @pytest.fixture(scope="module")
 def trained(toy_dataset, tmp_path_factory):
     model = tmp_path_factory.mktemp("model") / "m.ml0w"
@@ -149,6 +190,21 @@ def trained(toy_dataset, tmp_path_factory):
     ])
     assert rc == 0
     return model
+
+
+def copy_with_sidecar(model, tmp_path, change):
+    """A copy of `model` whose sidecar has the keys of `change` set, or
+    deleted where the value is None."""
+    sidecar = json.loads((model.parent / (model.name + ".json")).read_text())
+    for key, value in change.items():
+        if value is None:
+            del sidecar[key]
+        else:
+            sidecar[key] = value
+    copy = tmp_path / "m.ml0w"
+    copy.write_bytes(model.read_bytes())
+    (tmp_path / "m.ml0w.json").write_text(json.dumps(sidecar))
+    return copy
 
 
 class TestEval:
@@ -200,6 +256,30 @@ class TestEval:
         rc = main(["eval", str(trained), str(other)])
         assert rc == 1
         assert "match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"lambda": None},
+        {"sparsity": None},
+        {"lambda": 5},
+        {"sparsity": "3"},
+        {"lambda": [2e-4], "sparsity": [3]},
+        {"lambda": [2e-4] * 3, "sparsity": [3] * 3},
+        {"sparsity": [9, 2]},
+    ], ids=["no-lambda", "no-sparsity", "lambda-int", "sparsity-str", "one-entry",
+            "three-entries", "cap-over-length"])
+    def test_malformed_sidecar_exit_one(self, toy_dataset, trained, tmp_path, capsys, change):
+        model = copy_with_sidecar(trained, tmp_path, change)
+        rc = main(["eval", str(model), str(toy_dataset)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sidecar ") and "m.ml0w.json" in err
+
+    def test_sidecar_needs_no_gamma(self, toy_dataset, trained, tmp_path, capsys):
+        rc = main(["eval", str(trained), str(toy_dataset)])
+        want = capsys.readouterr().out
+        model = copy_with_sidecar(trained, tmp_path, {"gamma": None})
+        assert rc == 0 and main(["eval", str(model), str(toy_dataset)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestBench:

@@ -9,12 +9,14 @@ from ml0 import (
     DenseTensor,
     ModelParams,
     Problem,
+    SolverConfig,
     grad_bias,
     grad_block,
     lipschitz_bias,
     lipschitz_block,
     objective,
     predict,
+    run,
     smooth_loss,
 )
 from ml0.model import grad_direction_batch, margin_batch
@@ -140,6 +142,40 @@ class TestObjective:
         np.testing.assert_allclose(
             objective(params, data, problem), 6 * math.log(2), rtol=1e-14
         )
+
+
+class TestPerBlockProblem:
+    """Every function taking a problem needs one ridge weight and one cap per
+    block, each cap within its block's length; a short tuple must not be
+    silently truncated by a zip."""
+
+    def instance(self):
+        rng = np.random.default_rng(14)
+        data = Dataset(rng.standard_normal((5, 3, 4)), rng.choice([-1.0, 1.0], 5))
+        return ModelParams(blocks=(np.ones(3), np.ones(4)), bias=0.0), data
+
+    @pytest.mark.parametrize("ridge, sparsity, match", [
+        ((1.0,), (3,), "1 ridge/sparsity entries for 2 blocks"),
+        ((1.0,) * 3, (3,) * 3, "3 ridge/sparsity entries for 2 blocks"),
+        ((1.0, 1.0), (3, 5), "exceed block lengths"),
+    ])
+    def test_mismatched_problem_rejected(self, ridge, sparsity, match):
+        params, data = self.instance()
+        problem = Problem(ridge=ridge, sparsity=sparsity)
+        for call in (
+            lambda: objective(params, data, problem),
+            lambda: smooth_loss(params, data, problem),
+            lambda: grad_block(params, data, problem, 1),
+            lambda: lipschitz_block(params, data, problem, 0),
+            lambda: run(problem, data, params, SolverConfig(max_iters=1)),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_matching_problem_scores_the_cap(self):
+        params, data = self.instance()
+        assert objective(params, data, Problem(ridge=(1.0, 1.0), sparsity=(3, 3))) == math.inf
+        assert math.isfinite(objective(params, data, Problem(ridge=(1.0, 1.0), sparsity=(3, 4))))
 
 
 class TestGradients:

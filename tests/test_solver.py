@@ -517,3 +517,57 @@ class TestCachedPartials:
             assert per_iteration.tolist() == [want] * len(per_iteration), init.order
             # One more pass computes the initial objective.
             assert passes[0] == 1 + want * len(result.trace)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
+    """The extrapolation test (`_objective_at` with a partial) runs exactly in
+    the iterations whose momentum factor is nonzero and whose iterate moved
+    in the previous step. Every other iteration's sweep starts at the
+    current iterate, so its base objective is the previous recorded one,
+    bitwise."""
+    objective_at = solver._objective_at
+    for data, problem, init in cache_runs():
+        events = []  # ("test", None) per extrapolation test, ("hook", iterate) per iteration
+        initial = []
+
+        def recording(X, y, blocks, bias, ridge, sparsity, partial=None):
+            J, P = objective_at(X, y, blocks, bias, ridge, sparsity, partial)
+            if partial is None:
+                initial.append(J)
+            else:
+                events.append(("test", None))
+            return J, P
+
+        def hook(k, blocks, bias):
+            events.append(("hook", ([b.copy() for b in blocks], bias)))
+
+        monkeypatch.setattr(solver, "_objective_at", recording)
+        result = run(problem, data, init, schedule_config(schedule, max_iters=300),
+                     iterate_hook=hook)
+        monkeypatch.undo()
+        assert len(initial) == 1
+
+        iterates = [(list(init.blocks), init.bias)]
+        tested = [False]
+        for kind, value in events:
+            if kind == "test":
+                tested[-1] = True
+            else:
+                iterates.append(value)
+                tested.append(False)
+        assert len(iterates) == len(result.trace) + 1
+
+        objectives = initial + [row.objective for row in result.trace]
+        for k, row in enumerate(result.trace, start=1):
+            (cur, cur_b), (prev, prev_b) = iterates[k - 1], iterates[max(k - 2, 0)]
+            moved = cur_b != prev_b or any(
+                not np.array_equal(c, q) for c, q in zip(cur, prev)
+            )
+            assert tested[k - 1] == (row.beta != 0.0 and moved), (schedule, k)
+            if not tested[k - 1]:
+                assert result.base_objectives[k - 1] == objectives[k - 1], (schedule, k)
+        if schedule == "none":
+            assert not any(tested)
+        else:
+            assert tested[0] is False and any(tested)
