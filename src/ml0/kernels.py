@@ -84,9 +84,8 @@ def contract_mode(arr, v, axis):
     last = axis == len(shape) - 1
     if not axis or arr.size < _SPLIT_MIN_SAMPLE * shape[0]:
         if last:
-            out = arr.reshape(-1, d) @ v
-        else:
-            out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
+            return (arr.reshape(-1, d) @ v).reshape(shape[:-1])
+        out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
         return out.reshape(shape[:axis] + shape[axis + 1 :])
     bounds = _slabs(shape[0])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
@@ -108,7 +107,7 @@ def contract_down(arr, vectors, axes):
     Processing in descending axis order keeps the remaining axis indices
     valid while the array shrinks.
     """
-    order = sorted(range(len(axes)), key=lambda i: axes[i], reverse=True)
+    order = sorted(range(len(axes)), key=axes.__getitem__, reverse=True)
     out = arr
     for i in order:
         out = contract_mode(out, vectors[i], axes[i])

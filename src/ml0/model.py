@@ -8,6 +8,7 @@ the smooth loss, infeasible points score +inf.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,10 @@ class Problem:
 
     def __post_init__(self):
         ridge = tuple(float(r) for r in self.ridge)
-        sparsity = tuple(int(s) for s in self.sparsity)
+        sparsity = tuple(self.sparsity)
+        if any(isinstance(s, bool) or not hasattr(s, "__index__") for s in sparsity):
+            raise ValueError(f"sparsity caps must be integers, got {sparsity}")
+        sparsity = tuple(map(operator.index, sparsity))
         if len(ridge) != len(sparsity):
             raise ValueError("ridge and sparsity must have one entry per block")
         if any(r < 0 for r in ridge):
@@ -103,13 +107,8 @@ def grad_direction_batch(X, blocks, skip):
 
 def _dloss_dmargin(m):
     """Derivative of log(1 + exp(-m)) in m, computed without overflow."""
-    out = np.empty_like(m)
-    pos = m >= 0
-    e = np.exp(-m[pos])
-    out[pos] = -e / (1.0 + e)
-    e = np.exp(m[np.logical_not(pos)])
-    out[np.logical_not(pos)] = -1.0 / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(m))
+    return np.where(m >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
 
 
 def loss_coefficients(margins, labels):
@@ -131,7 +130,7 @@ def ridge_term(blocks, ridge):
 
 def predict(params: ModelParams, x: DenseTensor) -> float:
     """Margin for a single sample: multilinear form plus bias."""
-    return contract_full(x, list(params.blocks)) + params.bias
+    return contract_full(x, params.blocks) + params.bias
 
 
 def margins(params: ModelParams, data) -> np.ndarray:
@@ -143,7 +142,7 @@ def margins(params: ModelParams, data) -> np.ndarray:
 def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:
     """Logistic loss summed over the samples of the given margins, plus the
     blockwise ridge term."""
-    return float(np.sum(logistic_terms(margins, labels))) + ridge_term(blocks, ridge)
+    return float(logistic_terms(margins, labels).sum()) + ridge_term(blocks, ridge)
 
 
 def smooth_loss(params: ModelParams, data, problem: Problem) -> float:
@@ -179,8 +178,8 @@ def block_step(G, w, bias, labels, lam, gamma):
     tau = gamma * (sqrt(2) * sum((||g_s|| + 1)^2) + lam)."""
     c = loss_coefficients(G @ w + bias, labels)
     grad = G.T @ c + lam * w
-    row_norms = np.sqrt(np.sum(G * G, axis=1))
-    return grad, gamma * (SQRT2 * float(np.sum((row_norms + 1.0) ** 2)) + lam)
+    row_norms = np.sqrt((G * G).sum(axis=1))
+    return grad, gamma * (SQRT2 * float(((row_norms + 1.0) ** 2).sum()) + lam)
 
 
 def _block_step_at(params, data, problem, j):

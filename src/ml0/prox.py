@@ -11,27 +11,21 @@ def project_l0(v, s):
     tie at the cutoff the lowest index wins, which makes runs reproducible.
     A vector with at most s nonzeros is returned unchanged (as a copy).
     """
-    s = int(s)
-    if s < 1:
-        raise ValueError(f"sparsity level must be >= 1, got {s}")
+    if isinstance(s, bool) or not hasattr(s, "__index__") or s < 1:
+        raise ValueError(f"sparsity level must be an integer >= 1, got {s!r}")
     v = np.asarray(v, dtype=np.float64)
     d = v.size
-    mag = np.abs(v)
     if s >= d or np.count_nonzero(v) <= s:
         return v.copy()
+    mag = np.abs(v)
     # Partial selection: entries beyond position d-s are the s largest.
-    part = np.argpartition(mag, d - s)
-    kept = part[d - s :]
-    cutoff = mag[kept].min()
-    out = np.zeros_like(v)
-    above = mag > cutoff
-    out[above] = v[above]
-    # Fill the remaining slots from the tied entries, lowest index first.
-    n_free = s - int(np.count_nonzero(above))
-    if n_free > 0:
-        tied = np.flatnonzero(mag == cutoff)[:n_free]
-        out[tied] = v[tied]
-    return out
+    cutoff = mag[np.argpartition(mag, d - s)[d - s :]].min()
+    keep = mag >= cutoff
+    if np.count_nonzero(keep) > s:
+        # Too many ties at the cutoff: fill from them, lowest index first.
+        keep = mag > cutoff
+        keep[np.flatnonzero(mag == cutoff)[: s - np.count_nonzero(keep)]] = True
+    return np.where(keep, v, 0.0)
 
 
 def prox_block_step(w, grad, tau, s):

@@ -120,7 +120,7 @@ def nesterov_beta(t_k):
 
 def family_norm(family):
     """Norm of a family of vectors: sum of the blockwise 2-norms."""
-    return float(sum(np.linalg.norm(g) for g in family))
+    return float(sum(math.sqrt(g.dot(g)) for g in family))
 
 
 def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
@@ -181,7 +181,7 @@ def _gradient_family(X, y, blocks, margins, ridge, last_direction, partial=None)
     for j in range(p):
         G = last_direction if j == p - 1 else grad_direction_batch(partial, blocks[:-1], j)
         family.append(G.T @ coeff + ridge[j] * blocks[j])
-    family.append(np.array([float(np.sum(coeff))]))
+    family.append(np.array([float(coeff.sum())]))
     return family, partial
 
 
@@ -235,7 +235,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
         accepted = True
         if beta != 0.0 and (
-            any(not np.array_equal(c, q) for c, q in zip(cur, prev)) or cur_b != prev_b
+            any((c != q).any() for c, q in zip(cur, prev)) or cur_b != prev_b
         ):
             y_blocks = [c + beta * (c - q) for c, q in zip(cur, prev)]
             y_bias = cur_b + beta * (cur_b - prev_b)
@@ -260,7 +260,8 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         # sit at the base point, so the step-size constant is fresh for j.
         # Block p-1 is still at the base point while blocks 0..p-2 step, so
         # their directions come from P_base; only the last one reads X.
-        work = [b.copy() for b in base]
+        # Each block is replaced by a fresh prox result, never written in place.
+        work = list(base)
         min_tau = tau_bias
         for j in range(p):
             if j < p - 1:
@@ -276,12 +277,12 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         # G still matches the final block state (it never involves block p-1).
         s_last = G @ work[p - 1]
         m_blocks = s_last + base_b
-        grad_b = float(np.sum(loss_coefficients(m_blocks, y)))
+        grad_b = float(loss_coefficients(m_blocks, y).sum())
         new_b = base_b - grad_b / tau_bias
 
         m_final = m_blocks + (new_b - base_b)
         J_next = smooth_loss_from_margins(m_final, y, work, ridge)
-        gap = sum(float(np.linalg.norm(w - b)) for w, b in zip(work, base))
+        gap = sum(math.sqrt(d.dot(d)) for d in (w - b for w, b in zip(work, base)))
         gap += abs(new_b - base_b)
 
         trace.append(

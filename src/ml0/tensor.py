@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .kernels import contract_down
+from .kernels import contract_mode
 
 
 class DenseTensor:
@@ -77,5 +77,7 @@ def contract_full(t, blocks):
     if len(blocks) != t.order:
         raise ValueError(f"expected {t.order} block vectors, got {len(blocks)}")
     vecs = [_check_vector(blocks[k], t.dims[k], f"block {k}") for k in range(t.order)]
-    out = contract_down(t.array, vecs, list(range(t.order)))
-    return float(out.reshape(()))
+    out = t.array
+    for k in reversed(range(t.order)):
+        out = contract_mode(out, vecs[k], k)
+    return float(out)

@@ -3,12 +3,16 @@ name; a name that vanishes from ml0 silently turns its per-layer metrics
 absent. These tests load the tracer as the benchmark does and check that
 every metric it reports still finds the names it needs."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
 import ml0
+import ml0.cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "ml0bench" / "tracer.py"
 
@@ -18,6 +22,15 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def phase(tracer, name):
+    token = tracer.enter_phase(name)
+    try:
+        yield
+    finally:
+        tracer.exit_phase(token)
 
 
 def function_bindings(modules):
@@ -45,3 +58,46 @@ def test_tracer_finds_every_name_and_restores_ml0():
     after = function_bindings(modules)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_phases_time_the_work_they_name(tmp_path):
+    """A short desk solve with accepted extrapolations, an eval and a
+    predict, traced as the benchmark traces them: every phase metric the
+    benchmark reports reads time spent in the functions it names, and an
+    iteration still reads X twice."""
+    tracer_mod = load_tracer()
+    ds, _ = ml0.generate_synthetic(ml0.SyntheticConfig(rows=30, cols=30, block=5,
+                                                       per_class=100, seed=0))
+    train, test = ml0.split(ds, 0.8, seed=0)
+    problem = ml0.Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9))
+    init = ml0.random_init(train.feature_dims, problem.sparsity, seed=0)
+    model, data = tmp_path / "m.ml0w", tmp_path / "d.ml0t"
+    ml0.save_dataset(test, data)
+    tensors = [test.sample(i) for i in range(10)]
+    tracer = tracer_mod.Tracer()
+    tracer.x_shape = train.X.shape
+    try:
+        tracer.install()
+        with phase(tracer, "solve"):
+            res = ml0.run(problem, train, init, ml0.SolverConfig(max_iters=40),
+                          iterate_hook=tracer.iterate_hook)
+        with phase(tracer, "check"):
+            ml0.save_params(res.params, model)
+            sidecar = {"lambda": list(problem.ridge), "sparsity": list(problem.sparsity)}
+            Path(f"{model}.json").write_text(json.dumps(sidecar))
+        with phase(tracer, "eval"), contextlib.redirect_stdout(io.StringIO()):
+            assert ml0.cli.main(["eval", str(model), str(data)]) == 0
+        with phase(tracer, "predict"):
+            for x in tensors:
+                ml0.predict(res.params, x)
+    finally:
+        tracer.uninstall()
+    assert sum(row.accepted and row.beta > 0 for row in res.trace) > 0
+    metrics, absent = tracer_mod.layer_split(tracer, len(res.trace), 1, len(tensors), 1,
+                                             train.X.nbytes, data.stat().st_size)
+    assert absent == []
+    for name in ("solver.extrap_test_ms", "solver.sweep_ms", "solver.stop_test_ms",
+                 "model.elementwise_ms", "tensor.contract_full_us", "data.load_ms",
+                 "metrics.auc_ms"):
+        assert metrics[name][0] > 0, name
+    assert metrics["kernels.x_passes"][0] == 2.0

@@ -265,8 +265,10 @@ class TestEval:
         {"lambda": [2e-4], "sparsity": [3]},
         {"lambda": [2e-4] * 3, "sparsity": [3] * 3},
         {"sparsity": [9, 2]},
+        {"sparsity": [2.7, 3]},
+        {"sparsity": [True, 2]},
     ], ids=["no-lambda", "no-sparsity", "lambda-int", "sparsity-str", "one-entry",
-            "three-entries", "cap-over-length"])
+            "three-entries", "cap-over-length", "fractional-cap", "boolean-cap"])
     def test_malformed_sidecar_exit_one(self, toy_dataset, trained, tmp_path, capsys, change):
         model = copy_with_sidecar(trained, tmp_path, change)
         rc = main(["eval", str(model), str(toy_dataset)])

@@ -19,7 +19,19 @@ from ml0 import (
     run,
     smooth_loss,
 )
-from ml0.model import grad_direction_batch, margin_batch
+from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch
+
+
+def masked_dloss_dmargin(m):
+    """Reference for `_dloss_dmargin`: the same exponentials and divisions,
+    gathered and scattered through the two sign masks."""
+    out = np.empty_like(m)
+    pos = m >= 0
+    e = np.exp(-m[pos])
+    out[pos] = -e / (1.0 + e)
+    e = np.exp(m[np.logical_not(pos)])
+    out[np.logical_not(pos)] = -1.0 / (1.0 + e)
+    return out
 
 
 def random_instance(rng, p=None, max_dim=5, max_n=20, lam=2e-4):
@@ -172,10 +184,36 @@ class TestPerBlockProblem:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    @pytest.mark.parametrize("cap", [2.7, 3.0, np.float64(3.0), True, np.True_, "3", None])
+    def test_non_integer_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="sparsity caps must be integers"):
+            Problem(ridge=(1.0, 1.0), sparsity=(cap, 3))
+
+    def test_numpy_integer_caps_become_ints(self):
+        problem = Problem(ridge=(1.0, 1.0), sparsity=(np.int64(2), np.uint8(3)))
+        assert problem.sparsity == (2, 3)
+        assert all(type(s) is int for s in problem.sparsity)
+
     def test_matching_problem_scores_the_cap(self):
         params, data = self.instance()
         assert objective(params, data, Problem(ridge=(1.0, 1.0), sparsity=(3, 3))) == math.inf
         assert math.isfinite(objective(params, data, Problem(ridge=(1.0, 1.0), sparsity=(3, 4))))
+
+
+class TestDlossDmargin:
+    def test_bitwise_equal_to_masked_form(self):
+        edges = [0.0, 5e-324, 1e-300, 700.0, 745.2, 800.0, 1e308, np.inf]
+        rng = np.random.default_rng(5)
+        scaled = rng.standard_normal(10**5) * 10.0 ** rng.integers(-4, 4, size=10**5)
+        for m in (np.array(edges + [-v for v in edges]), scaled):
+            assert _dloss_dmargin(m).tobytes() == masked_dloss_dmargin(m).tobytes()
+
+    def test_nan_positions_match(self):
+        m = np.array([np.nan, 1.0, -np.nan, -2.0, 0.0, np.nan])
+        got, want = _dloss_dmargin(m), masked_dloss_dmargin(m)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestGradients:

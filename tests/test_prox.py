@@ -21,6 +21,25 @@ def exhaustive_min_distance_sq(v, s):
     return best
 
 
+def two_pass_project_l0(v, s):
+    """Reference for `project_l0`: a zero vector, filled first with the
+    entries above the cutoff and then with the lowest-index ties."""
+    v = np.asarray(v, dtype=np.float64)
+    d = v.size
+    mag = np.abs(v)
+    if s >= d or np.count_nonzero(v) <= s:
+        return v.copy()
+    cutoff = mag[np.argpartition(mag, d - s)[d - s :]].min()
+    out = np.zeros_like(v)
+    above = mag > cutoff
+    out[above] = v[above]
+    n_free = s - int(np.count_nonzero(above))
+    if n_free > 0:
+        tied = np.flatnonzero(mag == cutoff)[:n_free]
+        out[tied] = v[tied]
+    return out
+
+
 class TestProjectL0:
     def test_keeps_largest_magnitude(self):
         np.testing.assert_array_equal(
@@ -53,6 +72,30 @@ class TestProjectL0:
     def test_invalid_s_raises(self):
         with pytest.raises(ValueError, match="sparsity"):
             project_l0(np.array([1.0]), 0)
+
+    @pytest.mark.parametrize("s", [-1, 2.7, 2.0, np.float64(2.0), True, np.True_, "2", None])
+    def test_non_integer_or_negative_s_raises(self, s):
+        with pytest.raises(ValueError, match="sparsity level must be an integer"):
+            project_l0(np.array([1.0, 2.0, 3.0]), s)
+
+    def test_numpy_integer_s_accepted(self):
+        v = np.array([1.0, -3.0, 2.0])
+        for s in (np.int64(2), np.uint8(2), np.intp(2)):
+            assert project_l0(v, s).tobytes() == project_l0(v, 2).tobytes()
+
+    def test_bitwise_equal_to_two_pass_form(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20000):
+            d = int(rng.integers(1, 13))
+            if rng.random() < 0.5:
+                v = rng.integers(-3, 4, size=d).astype(np.float64)  # many ties
+            else:
+                v = rng.standard_normal(d)
+            special = rng.random(d)
+            v[special < 0.05] = np.nan
+            v[(special >= 0.05) & (special < 0.15)] = -0.0
+            s = int(rng.integers(1, d + 2))
+            assert project_l0(v, s).tobytes() == two_pass_project_l0(v, s).tobytes()
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(17)

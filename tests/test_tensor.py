@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ml0 import DenseTensor, contract_full
-from ml0.kernels import contract_mode
+from ml0.kernels import contract_down, contract_mode
 
 
 def random_tensor(rng, max_order=4, max_dim=6):
@@ -71,6 +71,16 @@ class TestContractFull:
                 cur = contract_mode(cur, blocks[mode], pos)
                 remaining.pop(pos)
             np.testing.assert_allclose(float(cur), want, rtol=1e-12, atol=1e-12)
+
+    def test_bitwise_equal_to_descending_fold(self):
+        rng = np.random.default_rng(19)
+        for order in range(1, 5):
+            for _ in range(25):
+                dims = tuple(int(d) for d in rng.integers(1, 7, size=order))
+                t = DenseTensor.from_array(rng.standard_normal(dims))
+                blocks = [rng.standard_normal(d) for d in dims]
+                want = float(contract_down(t.array, blocks, range(order)).reshape(()))
+                assert contract_full(t, blocks).hex() == want.hex()
 
     def test_linearity_in_each_block(self):
         rng = np.random.default_rng(13)
