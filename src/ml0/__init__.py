@@ -7,6 +7,7 @@ projection onto the l0 ball. See README.md for the CLI and file formats.
 
 from .data import (
     Dataset,
+    DatasetStream,
     FeatureScaler,
     FormatError,
     SyntheticConfig,
@@ -30,6 +31,7 @@ from .model import (
     objective,
     predict,
     smooth_loss,
+    stream_margins,
 )
 from .prox import project_l0, prox_block_step
 from .solver import (
@@ -49,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
+    "DatasetStream",
     "DenseTensor",
     "FeatureScaler",
     "FormatError",
@@ -83,5 +86,6 @@ __all__ = [
     "save_params",
     "smooth_loss",
     "split",
+    "stream_margins",
     "write_trace_csv",
 ]

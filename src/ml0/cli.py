@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime or data error.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    FormatError,
+    DatasetStream,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -30,7 +31,7 @@ from .data import (
     split,
 )
 from .metrics import accuracy, auc
-from .model import Problem, margins, objective_from_margins
+from .model import Problem, margins, objective_from_margins, stream_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
@@ -180,14 +181,15 @@ def _sidecar_problem(model_path, params):
 def cmd_eval(args):
     params = load_params(args.model)
     problem = _sidecar_problem(args.model, params)
-    ds = load_dataset(args.dataset)
-    m = margins(params, ds)
+    with DatasetStream(args.dataset) as stream:
+        m = stream_margins(params, stream)
+    y = stream.y
     report = {
-        "accuracy": accuracy(m, ds.y),
-        "auc": auc(m, ds.y),
-        "n": ds.n,
+        "accuracy": accuracy(m, y),
+        "auc": auc(m, y),
+        "n": stream.n,
         "objective": objective_from_margins(
-            m, ds.y, params.blocks, problem.ridge, problem.sparsity
+            m, y, params.blocks, problem.ridge, problem.sparsity
         ),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -290,7 +292,6 @@ def build_parser():
     gen.add_argument("--margin", type=float, default=0.5)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True, help="dataset file to write")
-    gen.set_defaults(func=cmd_gen)
 
     train = subs.add_parser("train", help="fit weights on a dataset file")
     train.add_argument("dataset", help="dataset file")
@@ -299,13 +300,11 @@ def build_parser():
     train.add_argument("--schedule", choices=sorted(SCHEDULE_NAMES), default="apalm+",
                        help="momentum schedule (default: apalm+)")
     _add_solver_flags(train)
-    train.set_defaults(func=cmd_train)
 
     ev = subs.add_parser("eval", help="score a weights file on a dataset")
     ev.add_argument("model", help="weights file")
     ev.add_argument("dataset", help="dataset file")
     ev.add_argument("-o", "--output", help="also write the metrics JSON here")
-    ev.set_defaults(func=cmd_eval)
 
     bench = subs.add_parser("bench", help="compare schedules across repeated seeded runs")
     bench.add_argument("dataset", help="dataset file")
@@ -315,16 +314,22 @@ def build_parser():
     bench.add_argument("--train-frac", type=float, default=0.8)
     bench.add_argument("-o", "--output", help="report CSV path (default: stdout)")
     _add_solver_flags(bench)
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` reuses: building it takes longer than a desk-size eval."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so the cached parser holds no command function.
+    command = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "bench": cmd_bench}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from .tensor import DenseTensor
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
 FORMAT_VERSION = 1
-_FINITE_BLOCK = 1 << 16  # elements per np.isfinite call in Dataset
+_FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
 
 
 class FormatError(ValueError):
@@ -21,6 +21,15 @@ class FormatError(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _check_finite(X):
+    """Raise unless every entry of a contiguous array is finite. Block by
+    block, so the check allocates no bool array the size of X."""
+    flat = X.reshape(-1)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+            raise ValueError("sample entries must be finite")
 
 
 class Dataset:
@@ -54,11 +63,7 @@ class Dataset:
         if any(d < 1 for d in X.shape[1:]):
             raise ValueError(f"all feature extents must be >= 1, got {X.shape[1:]}")
         X = np.ascontiguousarray(X)
-        # Block by block, so the check allocates no bool array the size of X.
-        flat = X.reshape(-1)
-        for start in range(0, flat.size, _FINITE_BLOCK):
-            if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-                raise ValueError("sample entries must be finite")
+        _check_finite(X)
 
         y = np.asarray(labels, dtype=np.float64).reshape(-1)
         if y.size != X.shape[0]:
@@ -317,6 +322,29 @@ def save_dataset(ds: Dataset, path):
         _write_f8(fh, ds.X)
 
 
+def _read_dataset_head(reader):
+    """Parse a dataset file's header and labels; returns (dims, labels) with
+    the labels as an int8 array of -1 and +1. The reader is left at the
+    first byte of the sample data."""
+    _check_header(reader, DATASET_MAGIC, "dataset")
+    ndim = reader.u32("dim count")
+    if ndim < 1:
+        raise FormatError(f"{reader.path}: dim count must be >= 1", reader.off - 4)
+    dims_at = reader.off
+    dims = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim, "dims"))
+    if any(d < 1 for d in dims):
+        raise FormatError(f"{reader.path}: zero extent in dims {dims}", dims_at)
+    n_at = reader.off
+    n = reader.u64("sample count")
+    if n < 1:
+        raise FormatError(f"{reader.path}: sample count must be >= 1", n_at)
+    labels_at = reader.off
+    labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
+    if not set(np.unique(labels).tolist()) <= {-1, 1}:
+        raise FormatError(f"{reader.path}: labels must be -1 or +1", labels_at)
+    return dims, labels
+
+
 def load_dataset(path) -> Dataset:
     """Read the binary dataset format; raises FormatError with a byte offset.
 
@@ -325,25 +353,53 @@ def load_dataset(path) -> Dataset:
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh, str(path))
-        _check_header(reader, DATASET_MAGIC, "dataset")
-        ndim = reader.u32("dim count")
-        if ndim < 1:
-            raise FormatError(f"{reader.path}: dim count must be >= 1", reader.off - 4)
-        dims_at = reader.off
-        dims = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim, "dims"))
-        if any(d < 1 for d in dims):
-            raise FormatError(f"{reader.path}: zero extent in dims {dims}", dims_at)
-        n_at = reader.off
-        n = reader.u64("sample count")
-        if n < 1:
-            raise FormatError(f"{reader.path}: sample count must be >= 1", n_at)
-        labels_at = reader.off
-        labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
-        if not set(np.unique(labels).tolist()) <= {-1, 1}:
-            raise FormatError(f"{reader.path}: labels must be -1 or +1", labels_at)
-        X = reader.array((n,) + dims, "sample data")
+        dims, labels = _read_dataset_head(reader)
+        X = reader.array((labels.size,) + dims, "sample data")
         reader.done()
     return Dataset(X, labels.astype(np.float64))
+
+
+class DatasetStream:
+    """A dataset file opened for one pass over its samples; a `with` block
+    closes it.
+
+    Opening reads the header and the labels (`feature_dims`, `n`, `y`).
+    `chunks()` then reads the sample data into one reused buffer of
+    `max(1, _FINITE_BLOCK // prod(dims))` samples (512 KiB, so a chunk fits
+    in L2), checks each chunk for finiteness and yields (index of its first
+    sample, chunk); a chunk is valid until the next is read. Every fault
+    raises `load_dataset`'s message for the file, in file order.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._reader = _Reader(self._fh, str(path))
+            self.feature_dims, labels = _read_dataset_head(self._reader)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.n = labels.size
+        self.y = labels.astype(np.float64)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def chunks(self):
+        reader, dims, n = self._reader, self.feature_dims, self.n
+        size = math.prod(dims)
+        reader._need(8 * n * size, "sample data")
+        per = max(1, _FINITE_BLOCK // size)
+        buf = np.empty((min(per, n),) + dims, dtype="<f8")
+        for lo in range(0, n, per):
+            chunk = buf[: min(per, n - lo)]
+            reader._fill(memoryview(chunk).cast("B"), "sample data")
+            _check_finite(chunk)
+            yield lo, chunk
+        reader.done()
 
 
 def save_params(params, path):

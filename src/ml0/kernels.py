@@ -21,6 +21,10 @@ a non-last axis gives the bits of the single call, and the last axis sums
 each sample in its own gemv. Worker threads are started per call and joined
 before it returns, so no pool outlives a call or a `fork`, and they call
 nothing but numpy.
+
+`contract_samples` is that last-axis path at any size, so a sample's result
+has the same bits whichever samples share the call; the model's margins
+use it.
 """
 
 import math
@@ -87,17 +91,28 @@ def contract_mode(arr, v, axis):
             return (arr.reshape(-1, d) @ v).reshape(shape[:-1])
         out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
         return out.reshape(shape[:axis] + shape[axis + 1 :])
+    if last:
+        return contract_samples(arr, v)
     bounds = _slabs(shape[0])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
     inner = math.prod(shape[axis + 1 :])
-    products = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        slab, rows = arr[lo:hi], out[lo:hi]
-        if last:
-            products.append((slab.reshape(hi - lo, -1, d), v, rows.reshape(hi - lo, -1)))
-        else:
-            products.append((v, slab.reshape(-1, d, inner), rows.reshape(-1, inner)))
-    _run_split(products)
+    _run_split([(v, arr[lo:hi].reshape(-1, d, inner), out[lo:hi].reshape(-1, inner))
+                for lo, hi in zip(bounds, bounds[1:])])
+    return out
+
+
+def contract_samples(arr, v):
+    """Contract the last axis of each sample along axis 0 in its own stacked
+    product, so a sample's result does not depend on which other samples
+    share the call. Split into slabs like `contract_mode` at or above the
+    cutoff; returns an array of shape arr.shape[:-1]."""
+    n, d = arr.shape[0], arr.shape[-1]
+    if arr.size < _SPLIT_MIN_SAMPLE * n:
+        return (arr.reshape(n, -1, d) @ v).reshape(arr.shape[:-1])
+    bounds = _slabs(n)
+    out = np.empty(arr.shape[:-1], dtype=np.result_type(arr, v))
+    _run_split([(arr[lo:hi].reshape(hi - lo, -1, d), v, out[lo:hi].reshape(hi - lo, -1))
+                for lo, hi in zip(bounds, bounds[1:])])
     return out
 
 

@@ -1,10 +1,18 @@
 import dataclasses
 import json
+import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ml0.data
+import ml0.model
 from ml0 import (
+    Dataset,
+    FormatError,
+    ModelParams,
     Problem,
     SolverConfig,
     kernels,
@@ -13,6 +21,8 @@ from ml0 import (
     objective,
     random_init,
     run,
+    save_dataset,
+    save_params,
 )
 from ml0 import cli
 from ml0.cli import build_parser, main
@@ -229,19 +239,32 @@ class TestEval:
 
     def test_one_pass_over_x_and_objective_bitwise(self, toy_dataset, trained, capsys,
                                                    monkeypatch):
+        """The samples reach the contraction once each, in file order, in
+        chunks smaller than X, and the objective equals the in-memory one."""
         ds = load_dataset(toy_dataset)
-        shapes = []
-        contract = kernels.contract_mode
+        chunks, mode_shapes = [], []
+        contract, contract_mode = ml0.model.contract_samples, kernels.contract_mode
 
-        def recording(arr, v, axis):
-            shapes.append(arr.shape)
-            return contract(arr, v, axis)
+        def recording(arr, v):
+            if arr.shape[1:] == ds.feature_dims:
+                chunks.append(arr.copy())
+            return contract(arr, v)
 
-        monkeypatch.setattr(kernels, "contract_mode", recording)
+        def recording_mode(arr, v, axis):
+            mode_shapes.append(arr.shape)
+            return contract_mode(arr, v, axis)
+
+        # 7 samples of 8x6 per chunk: five full chunks and one of 5.
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 7 * 8 * 6)
+        monkeypatch.setattr(ml0.model, "contract_samples", recording)
+        monkeypatch.setattr(kernels, "contract_mode", recording_mode)
         rc = main(["eval", str(trained), str(toy_dataset)])
         monkeypatch.undo()
         assert rc == 0
-        assert shapes.count(ds.X.shape) == 1
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 7, 5]
+        assert all(c.size < ds.X.size for c in chunks)
+        assert np.concatenate(chunks).tobytes() == ds.X.tobytes()
+        assert ds.X.shape not in mode_shapes
         report = json.loads(capsys.readouterr().out)
         sidecar = json.loads((trained.parent / (trained.name + ".json")).read_text())
         problem = Problem(ridge=tuple(sidecar["lambda"]), sparsity=tuple(sidecar["sparsity"]),
@@ -282,6 +305,135 @@ class TestEval:
         model = copy_with_sidecar(trained, tmp_path, {"gamma": None})
         assert rc == 0 and main(["eval", str(model), str(toy_dataset)]) == 0
         assert capsys.readouterr().out == want
+
+
+def dataset_bytes(X, y, n=None):
+    """A dataset file packed by hand, so it may hold non-finite samples or
+    declare another sample count."""
+    dims = X.shape[1:]
+    return (b"ML0T" + struct.pack("<II", 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+            + struct.pack("<Q", X.shape[0] if n is None else n)
+            + np.asarray(y, dtype="<i1").tobytes() + X.astype("<f8").tobytes())
+
+
+def model_for(tmp_path, dims):
+    """A weights file with blocks of the given lengths and its sidecar."""
+    rng = np.random.default_rng(len(dims))
+    path = tmp_path / "w.ml0w"
+    save_params(ModelParams(blocks=tuple(rng.standard_normal(d) for d in dims), bias=0.1), path)
+    path.with_name("w.ml0w.json").write_text(
+        json.dumps({"lambda": [2e-4] * len(dims), "sparsity": list(dims)}))
+    return path
+
+
+# The (4, 3, 2) file below: magic 0-3, version 4-7, dim count 8-11, dims
+# 12-27, sample count 28-35, labels 36-39, sample data 40-231 (48 bytes a
+# sample). With `_FINITE_BLOCK` patched to one sample, each sample is a chunk.
+RNG = np.random.default_rng(16)
+X4 = RNG.standard_normal((4, 3, 2))
+Y4 = [1, -1, -1, 1]
+RAW = dataset_bytes(X4, Y4)
+
+
+def nonfinite(i, value):
+    X = X4.copy()
+    X[i, 1, 0] = value
+    return dataset_bytes(X, Y4)
+
+
+BROKEN = {
+    **{f"cut-{cut}": RAW[:cut] for cut in (0, 2, 6, 9, 20, 31, 38, 40, 231)},
+    "cut-10-from-end": RAW[:-10],
+    "cut-at-chunk-boundary": RAW[: 40 + 2 * 48],
+    "cut-in-mid-chunk": RAW[: 40 + 2 * 48 + 20],
+    "bad-magic": b"NOPE" + b"\x00" * 20,
+    "bad-version": RAW[:4] + struct.pack("<I", 99) + RAW[8:],
+    "bad-label": RAW[:36] + b"\x03" + RAW[37:],
+    "huge-label-count": dataset_bytes(X4, Y4, n=2**40)[:40] + b"\x00" * 63,
+    "samples-missing": dataset_bytes(X4[:1], [1] * 64, n=64)[: 36 + 64 + 8],
+    "trailing-bytes": RAW + b"\x00" * 5,
+    "nan-first-chunk": nonfinite(0, np.nan),
+    "inf-middle-chunk": nonfinite(2, np.inf),
+    "neg-inf-last-chunk": nonfinite(3, -np.inf),
+}
+
+
+class TestEvalStream:
+    """`ml0 eval` streams the sample data: each broken file fails with the
+    message `load_dataset` gives for it, and nothing the size of X is held."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_broken_file_fails_with_the_load_message(self, tmp_path, capsys, monkeypatch, name):
+        model = model_for(tmp_path, (3, 2))
+        path = tmp_path / "broken.ml0t"
+        path.write_bytes(BROKEN[name])
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)
+        assert main(["eval", str(model), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    def test_short_read_mid_stream_reports_where_it_stopped(self, tmp_path, capsys, monkeypatch):
+        model = model_for(tmp_path, (3, 2))
+        path = tmp_path / "t.ml0t"
+        path.write_bytes(RAW)
+        real_open = open
+
+        class ShortAfterTwoChunks:
+            """Reads from byte 136 on stop halfway, as if the file shrank after fstat."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def close(self):
+                self.fh.close()
+
+            def readinto(self, buf):
+                view = memoryview(buf)
+                return self.fh.readinto(view[: len(view) // 2] if self.fh.tell() >= 136 else view)
+
+        def opener(file, *args):
+            fh = real_open(file, *args)
+            return ShortAfterTwoChunks(fh) if str(file) == str(path) else fh
+
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)
+        monkeypatch.setattr(ml0.data, "open", opener, raising=False)
+        assert main(["eval", str(model), str(path)]) == 1
+        want = FormatError(f"{path}: truncated while reading sample data", 136 + 24)
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_dims_checked_before_the_sample_data(self, tmp_path, capsys):
+        model = model_for(tmp_path, (2, 3))
+        path = tmp_path / "t.ml0t"
+        path.write_bytes(RAW[:100])
+        assert main(["eval", str(model), str(path)]) == 1
+        assert "do not match sample dims (3, 2)" in capsys.readouterr().err
+
+    def test_peak_is_the_partial_and_two_chunks(self, tmp_path, capsys):
+        rng = np.random.default_rng(17)
+        n, dims = 1200, (30, 30)
+        path = tmp_path / "t.ml0t"
+        save_dataset(Dataset(rng.standard_normal((n,) + dims), rng.choice([-1.0, 1.0], n)), path)
+        model = model_for(tmp_path, dims)
+        size = path.stat().st_size
+        assert size >= 8e6
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rc = main(["eval", str(model), str(path)])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        partial = 8 * n * dims[0]
+        chunk = 8 * math.prod(dims) * (ml0.data._FINITE_BLOCK // math.prod(dims))
+        assert peak <= 1.1 * (partial + 2 * chunk), f"eval peak {peak} B for a {size} B file"
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == n
 
 
 class TestBench:

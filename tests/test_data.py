@@ -9,6 +9,7 @@ import pytest
 import ml0.data
 from ml0 import (
     Dataset,
+    DatasetStream,
     DenseTensor,
     FormatError,
     ModelParams,
@@ -397,6 +398,65 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="truncated while reading sample data") as err:
             load_dataset(path)
         assert err.value.offset == 40 + 4 * 3 * 2 * 8 // 2
+
+
+class TestDatasetStream:
+    """The streaming reader of a dataset file: header and labels on open,
+    then the sample data once, in chunks of one reused buffer."""
+
+    def test_header_known_before_the_samples(self, tmp_path):
+        rng = np.random.default_rng(19)
+        ds = Dataset(rng.standard_normal((5, 3, 2)), [1.0, -1.0, -1.0, 1.0, 1.0])
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        with DatasetStream(path) as stream:
+            assert (stream.n, stream.feature_dims) == (5, (3, 2))
+            assert stream.y.tobytes() == ds.y.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 20])
+    def test_chunks_cover_the_samples_once_in_one_buffer(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 7 * 6)  # 7 samples of 3x2
+        rng = np.random.default_rng(20)
+        ds = Dataset(rng.standard_normal((n, 3, 2)), rng.choice([-1.0, 1.0], n))
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        with DatasetStream(path) as stream:
+            chunks = [(lo, chunk.copy(), chunk) for lo, chunk in stream.chunks()]
+        assert [lo for lo, _, _ in chunks] == list(range(0, n, 7))
+        assert np.concatenate([c for _, c, _ in chunks]).tobytes() == ds.X.tobytes()
+        first = chunks[0][2]
+        assert all(np.shares_memory(view, first) for _, _, view in chunks)
+        assert len(first) == min(n, 7)
+
+    def test_a_sample_larger_than_a_chunk_is_one_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 4)
+        ds = Dataset(np.arange(18.0).reshape(3, 3, 2), [1.0, -1.0, 1.0])
+        path = tmp_path / "t.ml0t"
+        save_dataset(ds, path)
+        with DatasetStream(path) as stream:
+            assert [chunk.shape for _, chunk in stream.chunks()] == [(1, 3, 2)] * 3
+
+    def test_file_closed_on_every_path(self, tmp_path, monkeypatch):
+        good, bad_magic, short = (tmp_path / f"{name}.ml0t" for name in ("t", "magic", "short"))
+        save_dataset(Dataset(np.ones((2, 3)), [1.0, -1.0]), good)
+        bad_magic.write_bytes(b"NOPE" + b"\x00" * 20)
+        short.write_bytes(good.read_bytes()[:-1])
+        opened = []
+        real_open = open
+
+        def recording(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(ml0.data, "open", recording, raising=False)
+        with DatasetStream(good) as stream:
+            list(stream.chunks())
+        with pytest.raises(FormatError, match="ML0T"):
+            DatasetStream(bad_magic)
+        with pytest.raises(FormatError, match="truncated while reading sample data"):
+            with DatasetStream(short) as stream:
+                next(stream.chunks())
+        assert len(opened) == 3 and all(fh.closed for fh in opened)
 
 
 class TestParamsIO:

@@ -293,3 +293,42 @@ def test_solve_above_cutoff_calls_ml0_on_main_thread(run_split_calls, monkeypatc
     assert run_split_calls and set(run_split_calls) == {2}
     assert {"contract_mode", "margin_batch", "project_l0"} <= names
     assert all(t is threading.main_thread() for t in threads)
+
+
+def _per_sample(arr, v):
+    """Each sample's last axis contracted in a product of its own."""
+    d = arr.shape[-1]
+    return np.stack([a.reshape(-1, d) @ v for a in arr]).reshape(arr.shape[:-1])
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "slabs"])
+def test_contract_samples_bits_do_not_depend_on_the_batch(run_split_calls, monkeypatch, split):
+    """A sample's result is the same whichever samples share the call, in a
+    whole call or in slabs, at any offset into a buffer."""
+    if split:
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_SAMPLE", 1)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(21)
+    for tail in [(7,), (130,), (3, 5), (30, 30), (5, 3, 7), (1, 6, 1)]:
+        arr = rng.standard_normal((13,) + tail)
+        v = rng.standard_normal(tail[-1])
+        out = kernels.contract_samples(arr, v)
+        assert out.shape == arr.shape[:-1]
+        assert out.tobytes() == _per_sample(arr, v).tobytes()
+        for lo, hi in [(0, 1), (2, 5), (5, 13), (12, 13)]:
+            assert kernels.contract_samples(arr[lo:hi], v).tobytes() == out[lo:hi].tobytes()
+        shifted = np.empty(arr.size + 1)[1:].reshape(arr.shape)  # off a 16-byte boundary
+        shifted[...] = arr
+        assert kernels.contract_samples(shifted, v).tobytes() == out.tobytes()
+    assert bool(run_split_calls) == split
+
+
+def test_contract_mode_last_axis_above_cutoff_is_contract_samples(run_split_calls, monkeypatch):
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(22)
+    arr = rng.standard_normal((5, 130, 130))
+    v = rng.standard_normal(130)
+    out = kernels.contract_mode(arr, v, 2)
+    assert out.tobytes() == kernels.contract_samples(arr, v).tobytes()
+    assert out.tobytes() == _per_sample(arr, v).tobytes()
+    assert run_split_calls == [2, 2]

@@ -4,22 +4,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ml0.data
+import ml0.kernels
 from ml0 import (
     Dataset,
+    DatasetStream,
     DenseTensor,
     ModelParams,
     Problem,
     SolverConfig,
+    accuracy,
+    auc,
     grad_bias,
     grad_block,
     lipschitz_bias,
     lipschitz_block,
+    load_dataset,
+    margins,
     objective,
     predict,
     run,
+    save_dataset,
     smooth_loss,
+    stream_margins,
 )
-from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch
+from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch, objective_from_margins
 
 
 def masked_dloss_dmargin(m):
@@ -368,3 +377,68 @@ class TestDescentLemma:
                     + 0.5 * tau * float(delta @ delta)
                 )
             assert smooth_loss(moved, data, problem) <= bound + 1e-10
+
+
+class TestStreamedMargins:
+    """`stream_margins` reads a dataset file chunk by chunk; every metric
+    of `ml0 eval` must equal the in-memory model functions bitwise."""
+
+    @staticmethod
+    def saved(tmp_path, rng, n, dims):
+        X = rng.standard_normal((n,) + dims)
+        y = np.where(np.arange(n) % 2, -1.0, 1.0)  # both classes once n >= 2
+        params = ModelParams(blocks=tuple(rng.standard_normal(d) for d in dims),
+                             bias=float(rng.standard_normal()))
+        path = tmp_path / f"d{n}.ml0t"
+        save_dataset(Dataset(X, y), path)
+        return path, params
+
+    @staticmethod
+    def check_parity(path, params):
+        ds = load_dataset(path)
+        problem = Problem(ridge=(2e-4,) * params.order, sparsity=params.block_dims())
+        with DatasetStream(path) as stream:
+            m = stream_margins(params, stream)
+        want = margins(params, ds)
+        assert m.tobytes() == want.tobytes()
+        assert stream.y.tobytes() == ds.y.tobytes()
+        assert objective_from_margins(m, stream.y, params.blocks, problem.ridge,
+                                      problem.sparsity) == objective(params, ds, problem)
+        assert accuracy(m, stream.y) == accuracy(want, ds.y)
+        if ds.n > 1:
+            assert auc(m, stream.y) == auc(want, ds.y)
+
+    @pytest.mark.parametrize("dims", [(7,), (5, 3), (3, 2, 5)], ids=["order1", "order2", "order3"])
+    def test_bitwise_equal_for_any_chunk_remainder(self, tmp_path, monkeypatch, dims):
+        rng = np.random.default_rng(40)
+        chunk = 4
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", chunk * math.prod(dims))
+        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            self.check_parity(*self.saved(tmp_path, rng, n, dims))
+
+    @pytest.mark.parametrize("n, dims", [(5, (300, 300)), (7, (40, 30, 20))],
+                             ids=["one-sample-over-a-chunk", "above-split-cutoff"])
+    def test_bitwise_equal_for_large_samples(self, tmp_path, n, dims):
+        """300x300 samples exceed one default chunk, so each chunk holds one
+        sample; 40x30x20 ones are split into one slab per core in memory and
+        into one slab per two-sample chunk when streamed."""
+        assert math.prod(dims) >= ml0.kernels._SPLIT_MIN_SAMPLE
+        self.check_parity(*self.saved(tmp_path, np.random.default_rng(41), n, dims))
+
+    @pytest.mark.parametrize("n, dims", [(50, (30, 30)), (9, (13,)), (6, (150, 120))],
+                             ids=["below-cutoff", "order1", "above-cutoff"])
+    def test_margin_does_not_depend_on_the_batch(self, n, dims):
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.standard_normal((n,) + dims), rng.choice([-1.0, 1.0], n))
+        params = ModelParams(blocks=tuple(rng.standard_normal(d) for d in dims), bias=0.3)
+        m = margins(params, data)
+        for i in range(n):
+            assert m[i] == margins(params, data.subset([i]))[0]
+
+    def test_block_lengths_checked_before_any_sample_byte(self, tmp_path, monkeypatch):
+        path, params = self.saved(tmp_path, np.random.default_rng(43), 4, (3, 2))
+        other = ModelParams(blocks=(np.ones(2), np.ones(3)), bias=0.0)
+        with DatasetStream(path) as stream:
+            monkeypatch.setattr(stream, "chunks", lambda: pytest.fail("read samples"))
+            with pytest.raises(ValueError, match="do not match sample dims"):
+                stream_margins(other, stream)
