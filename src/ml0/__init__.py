@@ -31,7 +31,6 @@ from .model import (
     objective,
     predict,
     smooth_loss,
-    stream_margins,
 )
 from .prox import project_l0, prox_block_step
 from .solver import (
@@ -86,6 +85,5 @@ __all__ = [
     "save_params",
     "smooth_loss",
     "split",
-    "stream_margins",
     "write_trace_csv",
 ]

@@ -31,7 +31,7 @@ from .data import (
     split,
 )
 from .metrics import accuracy, auc
-from .model import Problem, margins, objective_from_margins, stream_margins
+from .model import Problem, margins, objective_from_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
@@ -109,22 +109,13 @@ def _write_sidecar(path, payload):
 
 
 def cmd_gen(args):
-    cfg = SyntheticConfig(
-        rows=args.rows,
-        cols=args.cols,
-        block=args.block,
-        per_class=args.per_class,
-        margin=args.margin,
-        seed=args.seed,
-    )
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SyntheticConfig)})
     ds, (v1, v2) = generate_synthetic(cfg)
     save_dataset(ds, args.output)
     _write_sidecar(args.output, {
         "command": "gen",
-        "config": {
-            "rows": cfg.rows, "cols": cfg.cols, "block": cfg.block,
-            "per_class": cfg.per_class, "margin": cfg.margin, "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(cfg),
         "ground_truth": {"v1": v1.tolist(), "v2": v2.tolist()},
     })
     print(f"wrote {ds.n} samples of shape {tuple(ds.feature_dims)} to {args.output}")
@@ -182,7 +173,7 @@ def cmd_eval(args):
     params = load_params(args.model)
     problem = _sidecar_problem(args.model, params)
     with DatasetStream(args.dataset) as stream:
-        m = stream_margins(params, stream)
+        m = margins(params, stream)
     y = stream.y
     report = {
         "accuracy": accuracy(m, y),
@@ -285,12 +276,13 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a synthetic planted-block dataset")
-    gen.add_argument("--rows", type=int, default=200)
-    gen.add_argument("--cols", type=int, default=200)
-    gen.add_argument("--block", type=int, default=20, help="planted block side length")
-    gen.add_argument("--per-class", type=int, default=500)
-    gen.add_argument("--margin", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--rows", type=int, default=SyntheticConfig.rows)
+    gen.add_argument("--cols", type=int, default=SyntheticConfig.cols)
+    gen.add_argument("--block", type=int, default=SyntheticConfig.block,
+                     help="planted block side length")
+    gen.add_argument("--per-class", type=int, default=SyntheticConfig.per_class)
+    gen.add_argument("--margin", type=float, default=SyntheticConfig.margin)
+    gen.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     gen.add_argument("-o", "--output", required=True, help="dataset file to write")
 
     train = subs.add_parser("train", help="fit weights on a dataset file")

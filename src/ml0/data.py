@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _exclusive
 
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
@@ -35,37 +35,25 @@ def _check_finite(X):
 class Dataset:
     """Stacked samples of one shared shape with labels in {-1, +1}.
 
-    Accepts samples as an (n, d_1, ..., d_p) array or a list of DenseTensor.
-    Labels given as {0, 1} are mapped to {-1, +1} on ingestion.
+    Samples come as one (n, d_1, ..., d_p) array. Samples and labels are
+    kept read-only as `DenseTensor` keeps its array: an array that owns its
+    memory is marked read-only, one that a writable array can still reach
+    is copied. Labels given as {0, 1} are mapped to {-1, +1} on ingestion.
     """
 
     __slots__ = ("_X", "_y")
 
     def __init__(self, samples, labels):
-        if isinstance(samples, (list, tuple)):
-            if not samples:
-                raise ValueError("dataset needs at least one sample")
-            arrays = [
-                s.array if isinstance(s, DenseTensor) else np.asarray(s, dtype=np.float64)
-                for s in samples
-            ]
-            dims = arrays[0].shape
-            for i, a in enumerate(arrays):
-                if a.shape != dims:
-                    raise ValueError(
-                        f"sample {i} has dims {a.shape}, expected {dims}"
-                    )
-            X = np.stack(arrays)
-        else:
-            X = np.asarray(samples, dtype=np.float64)
+        X = np.asarray(samples, dtype=np.float64)
         if X.ndim < 2 or X.shape[0] < 1:
             raise ValueError("samples must form an (n, d_1, ..., d_p) array with n >= 1")
         if any(d < 1 for d in X.shape[1:]):
             raise ValueError(f"all feature extents must be >= 1, got {X.shape[1:]}")
-        X = np.ascontiguousarray(X)
+        X = _exclusive(X)
         _check_finite(X)
 
-        y = np.asarray(labels, dtype=np.float64).reshape(-1)
+        y = np.asarray(labels, dtype=np.float64)
+        y = _exclusive(y if y.ndim == 1 else y.reshape(-1))
         if y.size != X.shape[0]:
             raise ValueError(f"{X.shape[0]} samples but {y.size} labels")
         values = set(np.unique(y).tolist())
@@ -102,7 +90,12 @@ class Dataset:
         return self._X.ndim - 1
 
     def sample(self, i):
-        return DenseTensor(self.feature_dims, self._X[i].reshape(-1))
+        """Sample i as a DenseTensor viewing X, without a copy."""
+        return DenseTensor(self._X[i])
+
+    def chunks(self):
+        """All samples as one chunk, (0, X), as `DatasetStream.chunks` yields them."""
+        yield 0, self._X
 
     def subset(self, indices):
         indices = np.asarray(indices)
@@ -274,31 +267,45 @@ class _Reader:
         self._fill(memoryview(arr).cast("B"), what)
         return arr
 
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt, what):
+        """Read the fields of one little-endian `struct` format."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def done(self):
         if self.off != self.size:
             raise FormatError(f"{self.path}: trailing bytes after payload", self.off)
 
 
-def _check_header(reader, magic, kind):
-    start = reader.off
+# By magic: the file kind and the names of its count and dims fields.
+_HEADER_NAMES = {DATASET_MAGIC: ("dataset", "dim count", "dims"),
+                 PARAMS_MAGIC: ("weights", "block count", "block dims")}
+
+
+def _write_header(fh, magic, dims):
+    """Write the header both file kinds share: magic, version, dim count, dims."""
+    fh.write(magic + struct.pack(f"<II{len(dims)}Q", FORMAT_VERSION, len(dims), *dims))
+
+
+def _read_header(reader, magic):
+    """Parse and check the header `_write_header` writes; returns the dims."""
+    kind, count_name, dims_name = _HEADER_NAMES[magic]
     got = reader.take(4, "magic")
     if got != magic:
         raise FormatError(
-            f"{reader.path}: bad magic {got!r}, expected {magic!r} for a {kind} file", start
+            f"{reader.path}: bad magic {got!r}, expected {magic!r} for a {kind} file", 0
         )
-    version_at = reader.off
-    version = reader.u32("version")
+    (version,) = reader.unpack("<I", "version")
     if version != FORMAT_VERSION:
         raise FormatError(
-            f"{reader.path}: unsupported version {version}, expected {FORMAT_VERSION}",
-            version_at,
+            f"{reader.path}: unsupported version {version}, expected {FORMAT_VERSION}", 4
         )
+    (count,) = reader.unpack("<I", count_name)
+    if count < 1:
+        raise FormatError(f"{reader.path}: {count_name} must be >= 1", 8)
+    dims = reader.unpack(f"<{count}Q", dims_name)
+    if any(d < 1 for d in dims):
+        raise FormatError(f"{reader.path}: zero extent in {dims_name} {dims}", 12)
+    return dims
 
 
 def _write_f8(fh, arr):
@@ -308,16 +315,9 @@ def _write_f8(fh, arr):
 
 def save_dataset(ds: Dataset, path):
     """Write the little-endian binary dataset format."""
-    dims = ds.feature_dims
-    header = [
-        DATASET_MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<I", len(dims)),
-        struct.pack(f"<{len(dims)}Q", *dims),
-        struct.pack("<Q", ds.n),
-    ]
     with open(path, "wb") as fh:
-        fh.write(b"".join(header))
+        _write_header(fh, DATASET_MAGIC, ds.feature_dims)
+        fh.write(struct.pack("<Q", ds.n))
         fh.write(ds.y.astype("<i1").data)
         _write_f8(fh, ds.X)
 
@@ -326,22 +326,13 @@ def _read_dataset_head(reader):
     """Parse a dataset file's header and labels; returns (dims, labels) with
     the labels as an int8 array of -1 and +1. The reader is left at the
     first byte of the sample data."""
-    _check_header(reader, DATASET_MAGIC, "dataset")
-    ndim = reader.u32("dim count")
-    if ndim < 1:
-        raise FormatError(f"{reader.path}: dim count must be >= 1", reader.off - 4)
-    dims_at = reader.off
-    dims = struct.unpack(f"<{ndim}Q", reader.take(8 * ndim, "dims"))
-    if any(d < 1 for d in dims):
-        raise FormatError(f"{reader.path}: zero extent in dims {dims}", dims_at)
-    n_at = reader.off
-    n = reader.u64("sample count")
+    dims = _read_header(reader, DATASET_MAGIC)
+    (n,) = reader.unpack("<Q", "sample count")
     if n < 1:
-        raise FormatError(f"{reader.path}: sample count must be >= 1", n_at)
-    labels_at = reader.off
+        raise FormatError(f"{reader.path}: sample count must be >= 1", reader.off - 8)
     labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
     if not set(np.unique(labels).tolist()) <= {-1, 1}:
-        raise FormatError(f"{reader.path}: labels must be -1 or +1", labels_at)
+        raise FormatError(f"{reader.path}: labels must be -1 or +1", reader.off - n)
     return dims, labels
 
 
@@ -368,7 +359,8 @@ class DatasetStream:
     `max(1, _FINITE_BLOCK // prod(dims))` samples (512 KiB, so a chunk fits
     in L2), checks each chunk for finiteness and yields (index of its first
     sample, chunk); a chunk is valid until the next is read. Every fault
-    raises `load_dataset`'s message for the file, in file order.
+    raises `load_dataset`'s message for the file, in file order. A second
+    pass raises ValueError: open the file again instead.
     """
 
     def __init__(self, path):
@@ -381,6 +373,7 @@ class DatasetStream:
             raise
         self.n = labels.size
         self.y = labels.astype(np.float64)
+        self._read = False
 
     def __enter__(self):
         return self
@@ -390,6 +383,9 @@ class DatasetStream:
 
     def chunks(self):
         reader, dims, n = self._reader, self.feature_dims, self.n
+        if self._read:
+            raise ValueError(f"{reader.path}: stream was already read; it gives one pass")
+        self._read = True
         size = math.prod(dims)
         reader._need(8 * n * size, "sample data")
         per = max(1, _FINITE_BLOCK // size)
@@ -404,15 +400,8 @@ class DatasetStream:
 
 def save_params(params, path):
     """Write weight blocks and bias with the same binary conventions."""
-    dims = params.block_dims()
-    header = [
-        PARAMS_MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<I", len(dims)),
-        struct.pack(f"<{len(dims)}Q", *dims),
-    ]
     with open(path, "wb") as fh:
-        fh.write(b"".join(header))
+        _write_header(fh, PARAMS_MAGIC, params.block_dims())
         for b in params.blocks:
             _write_f8(fh, b)
         fh.write(struct.pack("<d", params.bias))
@@ -424,15 +413,8 @@ def load_params(path):
 
     with open(path, "rb") as fh:
         reader = _Reader(fh, str(path))
-        _check_header(reader, PARAMS_MAGIC, "weights")
-        p = reader.u32("block count")
-        if p < 1:
-            raise FormatError(f"{reader.path}: block count must be >= 1", reader.off - 4)
-        dims_at = reader.off
-        dims = struct.unpack(f"<{p}Q", reader.take(8 * p, "block dims"))
-        if any(d < 1 for d in dims):
-            raise FormatError(f"{reader.path}: zero extent in block dims {dims}", dims_at)
+        dims = _read_header(reader, PARAMS_MAGIC)
         blocks = [reader.array((d,), f"block {i}") for i, d in enumerate(dims)]
-        bias = struct.unpack("<d", reader.take(8, "bias"))[0]
+        (bias,) = reader.unpack("<d", "bias")
         reader.done()
     return ModelParams(blocks=tuple(blocks), bias=bias)

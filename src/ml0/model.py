@@ -133,34 +133,23 @@ def predict(params: ModelParams, x: DenseTensor) -> float:
     return contract_full(x, params.blocks) + params.bias
 
 
-def _sample_margins(arr, blocks, bias):
-    """Margins from a stacked array whose trailing axes match `blocks`, each
-    sample contracted in its own products, last block first, so a margin's
-    bits do not depend on the other samples in the array."""
-    for w in reversed(blocks):
-        arr = contract_samples(arr, w)
-    return arr + bias
-
-
 def margins(params: ModelParams, data) -> np.ndarray:
-    """Margins for every sample in the dataset. A sample's margin has the
-    same bits whichever other samples the dataset holds."""
+    """Margins for every sample of a `Dataset` or of an open `DatasetStream`.
+
+    The block lengths are checked before any sample byte is read. Each chunk
+    of `data.chunks()` is contracted with the last block while in cache, the
+    partial that leaves then with the other blocks, each sample in its own
+    product (`contract_samples`): a sample's margin has the same bits
+    whichever other samples the data holds and however they are chunked.
+    """
     _check_shapes(params.blocks, data)
-    return _sample_margins(data.X, params.blocks, params.bias)
-
-
-def stream_margins(params: ModelParams, stream) -> np.ndarray:
-    """Margins for every sample of an open `DatasetStream`, bitwise equal to
-    `margins` on the loaded dataset for any chunking. The block lengths are
-    checked before any sample byte is read; each chunk is contracted with
-    the last block while it is in cache, so X is read once and nothing its
-    size is allocated."""
-    _check_shapes(params.blocks, stream)
-    w = params.blocks[-1]
-    partial = np.empty((stream.n,) + stream.feature_dims[:-1])
-    for lo, chunk in stream.chunks():
+    *rest, w = params.blocks
+    partial = np.empty((data.n,) + data.feature_dims[:-1])
+    for lo, chunk in data.chunks():
         partial[lo : lo + len(chunk)] = contract_samples(chunk, w)
-    return _sample_margins(partial, params.blocks[:-1], params.bias)
+    for v in reversed(rest):
+        partial = contract_samples(partial, v)
+    return partial + params.bias
 
 
 def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:

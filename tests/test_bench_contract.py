@@ -1,7 +1,8 @@
 """The benchmark's span tracer (ml0bench/tracer.py) wraps ml0 functions by
 name; a name that vanishes from ml0 silently turns its per-layer metrics
 absent. These tests load the tracer as the benchmark does and check that
-every metric it reports still finds the names it needs."""
+every metric it reports still finds the names it needs, and run one round
+of the harness itself (ml0bench/run.py) against ml0's public API."""
 
 import contextlib
 import importlib
@@ -9,12 +10,14 @@ import importlib.util
 import inspect
 import io
 import json
+import sys
 from pathlib import Path
 
 import ml0
 import ml0.cli
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "ml0bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "ml0bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
 
 
 def load_tracer():
@@ -101,3 +104,21 @@ def test_traced_phases_time_the_work_they_name(tmp_path):
                  "metrics.auc_ms"):
         assert metrics[name][0] > 0, name
     assert metrics["kernels.x_passes"][0] == 2.0
+
+
+def test_harness_runs_a_round_without_failures(tmp_path, monkeypatch):
+    """The benchmark harness (ml0bench/run.py) calls ml0's public API: one
+    setup and one untraced round on a tiny workload run with no failed
+    operation and no problem, so an API change that breaks the harness
+    fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spec = importlib.util.spec_from_file_location("ml0bench_run", BENCH_DIR / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    w = run.Workload("smoke", "", rows=8, cols=8, block=3, per_class=20, sparsity=(3, 3),
+                     solves=1, fixed_iters=5, eval_per_class=0, evals=1, setups=1)
+    st = run.setup(ml0, w, 0, tmp_path)
+    rnd = run.run_round(ml0, w, st, None)
+    assert rnd.failed == 0
+    assert rnd.problems == []

@@ -10,13 +10,13 @@ import ml0.data
 from ml0 import (
     Dataset,
     DatasetStream,
-    DenseTensor,
     FormatError,
     ModelParams,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
     load_params,
+    margins,
     normalize_per_feature,
     save_dataset,
     save_params,
@@ -66,13 +66,6 @@ def corner_scores(ds, v1, v2):
 
 
 class TestDataset:
-    def test_from_list_of_tensors(self):
-        samples = [DenseTensor.from_array(np.full((2, 2), float(i))) for i in range(3)]
-        ds = Dataset(samples, [1.0, -1.0, 1.0])
-        assert ds.n == 3
-        assert ds.feature_dims == (2, 2)
-        np.testing.assert_array_equal(ds.sample(2).array, np.full((2, 2), 2.0))
-
     def test_zero_one_labels_mapped(self):
         ds = Dataset(np.zeros((2, 3)), [0.0, 1.0])
         np.testing.assert_array_equal(ds.y, [-1.0, 1.0])
@@ -80,10 +73,6 @@ class TestDataset:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((2, 3)), [1.0, 2.0])
-
-    def test_mismatched_sample_dims_rejected(self):
-        with pytest.raises(ValueError, match="dims"):
-            Dataset([np.zeros((2, 2)), np.zeros((2, 3))], [1.0, -1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -98,6 +87,32 @@ class TestDataset:
             Dataset(X, [1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.asfortranarray(X), [1.0, -1.0, 1.0])
+
+    def test_writes_through_a_view_of_writable_memory_do_not_reach_it(self):
+        base = np.ones((4, 2, 3))
+        labels = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+        ds = Dataset(base[:], labels[:4])
+        base[0, 0, 0] = np.inf
+        labels[0] = 7.0
+        assert not np.shares_memory(ds.X, base) and not np.shares_memory(ds.y, labels)
+        np.testing.assert_array_equal(ds.X, np.ones((4, 2, 3)))
+        np.testing.assert_array_equal(ds.y, [1.0, -1.0, 1.0, -1.0])
+
+    def test_owned_arrays_are_kept_and_made_readonly(self):
+        X, y = np.ones((2, 3)), np.array([1.0, -1.0])
+        ds = Dataset(X, y)
+        assert ds.X is X and ds.y is y
+        with pytest.raises(ValueError):
+            X[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            y[0] = 7.0
+
+    def test_sample_views_the_dataset(self):
+        ds = Dataset(np.arange(12.0).reshape(3, 2, 2), [1.0, -1.0, 1.0])
+        for i in range(ds.n):
+            t = ds.sample(i)
+            assert np.shares_memory(t.array, ds.X)
+            np.testing.assert_array_equal(t.array, ds.X[i])
 
     def test_subset(self):
         rng = np.random.default_rng(0)
@@ -457,6 +472,21 @@ class TestDatasetStream:
             with DatasetStream(short) as stream:
                 next(stream.chunks())
         assert len(opened) == 3 and all(fh.closed for fh in opened)
+
+    def test_a_second_pass_is_refused(self, tmp_path):
+        """A second pass over one open stream used to read past the sample
+        data and report an intact file as truncated."""
+        path = tmp_path / "t.ml0t"
+        save_dataset(Dataset(np.ones((3, 2)), [1.0, -1.0, 1.0]), path)
+        params = ModelParams(blocks=(np.ones(2),), bias=0.0)
+        with DatasetStream(path) as stream:
+            np.testing.assert_array_equal(margins(params, stream), [2.0, 2.0, 2.0])
+            with pytest.raises(ValueError, match="already read"):
+                margins(params, stream)
+        with DatasetStream(path) as stream:
+            next(stream.chunks())
+            with pytest.raises(ValueError, match="already read"):
+                next(stream.chunks())
 
 
 class TestParamsIO:

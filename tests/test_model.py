@@ -26,7 +26,6 @@ from ml0 import (
     run,
     save_dataset,
     smooth_loss,
-    stream_margins,
 )
 from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch, objective_from_margins
 
@@ -88,12 +87,12 @@ def fd_grad_bias(params, data, problem, h=1e-6):
 
 class TestPredict:
     def test_zero_blocks_leave_bias(self):
-        x = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
+        x = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         params = ModelParams(blocks=(np.zeros(2), np.zeros(2)), bias=0.5)
         assert predict(params, x) == 0.5
 
     def test_all_ones(self):
-        x = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
+        x = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         params = ModelParams(blocks=(np.ones(2), np.ones(2)), bias=0.0)
         assert predict(params, x) == 10.0
 
@@ -103,9 +102,22 @@ class TestPredict:
         params = ModelParams(
             blocks=(rng.standard_normal(3), rng.standard_normal(2)), bias=0.7
         )
-        base = predict(params, DenseTensor.from_array(arr))
-        scaled = predict(params, DenseTensor.from_array(2.5 * arr))
+        base = predict(params, DenseTensor(arr))
+        scaled = predict(params, DenseTensor(2.5 * arr))
         np.testing.assert_allclose(scaled, 2.5 * (base - 0.7) + 0.7, rtol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(7,), (30, 30), (130, 130), (4, 5, 6), (30, 26, 24),
+                                      (200, 200)])
+    def test_bitwise_equal_to_the_dataset_margins(self, dims):
+        """One margin definition: a sample scored alone has the bits of its
+        margin in the batch, at orders 1-3, below and above the split cutoff."""
+        rng = np.random.default_rng(len(dims) + dims[0])
+        n = 9
+        data = Dataset(rng.standard_normal((n,) + dims), rng.choice([-1.0, 1.0], n))
+        params = ModelParams(blocks=tuple(rng.standard_normal(d) for d in dims), bias=-0.4)
+        m = margins(params, data)
+        for i in range(n):
+            assert predict(params, data.sample(i)) == m[i]
 
 
 class TestSmoothLoss:
@@ -380,7 +392,7 @@ class TestDescentLemma:
 
 
 class TestStreamedMargins:
-    """`stream_margins` reads a dataset file chunk by chunk; every metric
+    """`margins` reads an open `DatasetStream` chunk by chunk; every metric
     of `ml0 eval` must equal the in-memory model functions bitwise."""
 
     @staticmethod
@@ -398,7 +410,7 @@ class TestStreamedMargins:
         ds = load_dataset(path)
         problem = Problem(ridge=(2e-4,) * params.order, sparsity=params.block_dims())
         with DatasetStream(path) as stream:
-            m = stream_margins(params, stream)
+            m = margins(params, stream)
         want = margins(params, ds)
         assert m.tobytes() == want.tobytes()
         assert stream.y.tobytes() == ds.y.tobytes()
@@ -441,4 +453,4 @@ class TestStreamedMargins:
         with DatasetStream(path) as stream:
             monkeypatch.setattr(stream, "chunks", lambda: pytest.fail("read samples"))
             with pytest.raises(ValueError, match="do not match sample dims"):
-                stream_margins(other, stream)
+                margins(other, stream)

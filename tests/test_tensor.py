@@ -8,50 +8,72 @@ from ml0.kernels import contract_down, contract_mode
 def random_tensor(rng, max_order=4, max_dim=6):
     order = rng.integers(1, max_order + 1)
     dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(order))
-    return DenseTensor.from_array(rng.standard_normal(dims))
+    return DenseTensor(rng.standard_normal(dims))
 
 
 class TestDenseTensor:
     def test_basic_construction(self):
-        t = DenseTensor((2, 3), np.arange(6.0))
+        t = DenseTensor(np.arange(6.0).reshape(2, 3))
         assert t.dims == (2, 3)
         assert t.order == 2
         assert t.array[1, 2] == 5.0
+        assert DenseTensor([1, 2]).array.dtype == np.float64
 
     def test_data_is_readonly(self):
-        t = DenseTensor((2,), [1.0, 2.0])
+        t = DenseTensor([1.0, 2.0])
         with pytest.raises(ValueError):
-            t.data[0] = 3.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            DenseTensor((2, 2), [1.0, 2.0, 3.0])
+            t.array[0] = 3.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            DenseTensor((2,), [1.0, np.nan])
+            DenseTensor([1.0, np.nan])
         with pytest.raises(ValueError, match="finite"):
-            DenseTensor((2,), [np.inf, 0.0])
+            DenseTensor([[np.inf], [0.0]])
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ValueError, match="extents"):
-            DenseTensor((2, 0), [])
+            DenseTensor(np.zeros((2, 0)))
         with pytest.raises(ValueError, match="extents"):
-            DenseTensor((), [4.5])
+            DenseTensor(4.5)
+
+    def test_writes_through_a_view_of_writable_memory_do_not_reach_it(self):
+        base = np.ones((3, 2, 2))
+        view = base[1]
+        t = DenseTensor(view)
+        view[0, 0] = np.nan
+        base[1, 1, 1] = np.inf
+        assert not np.shares_memory(t.array, base)
+        np.testing.assert_array_equal(t.array, np.ones((2, 2)))
+
+    def test_an_owned_array_is_kept_and_made_readonly(self):
+        a = np.ones((2, 2))
+        t = DenseTensor(a)
+        assert t.array is a
+        with pytest.raises(ValueError):
+            a[0, 0] = np.nan
+
+    def test_a_view_of_readonly_memory_is_kept(self):
+        base = np.ones((3, 2))
+        base.setflags(write=False)
+        assert np.shares_memory(DenseTensor(base[1:]).array, base)
+        # read-only views of writable memory are copied
+        view = np.ones((3, 2))[1:]
+        view.setflags(write=False)
+        assert not np.shares_memory(DenseTensor(view).array, view)
 
 
 class TestContractFull:
     def test_coordinate_pick(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
+        t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         assert contract_full(t, [[1.0, 0.0], [0.0, 1.0]]) == 2.0
 
     def test_sum_of_entries(self):
-        t = DenseTensor.from_array([[1.0, 2.0], [3.0, 4.0]])
+        t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         assert contract_full(t, [[1.0, 1.0], [1.0, 1.0]]) == 10.0
 
     def test_zero_block_gives_zero(self):
         rng = np.random.default_rng(3)
-        t = DenseTensor.from_array(rng.standard_normal((2, 3, 2)))
+        t = DenseTensor(rng.standard_normal((2, 3, 2)))
         blocks = [rng.standard_normal(d) for d in t.dims]
         blocks[1] = np.zeros(3)
         assert contract_full(t, blocks) == 0.0
@@ -77,7 +99,7 @@ class TestContractFull:
         for order in range(1, 5):
             for _ in range(25):
                 dims = tuple(int(d) for d in rng.integers(1, 7, size=order))
-                t = DenseTensor.from_array(rng.standard_normal(dims))
+                t = DenseTensor(rng.standard_normal(dims))
                 blocks = [rng.standard_normal(d) for d in dims]
                 want = float(contract_down(t.array, blocks, range(order)).reshape(()))
                 assert contract_full(t, blocks).hex() == want.hex()
