@@ -44,7 +44,7 @@ from .solver import (
     run,
     write_trace_csv,
 )
-from .tensor import DenseTensor, contract_full
+from .tensor import DenseTensor
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "accuracy",
     "auc",
     "check_stop",
-    "contract_full",
     "diagnose_sufficient_decrease",
     "generate_synthetic",
     "grad_bias",

@@ -37,13 +37,21 @@ from .solver import SolverConfig, random_init, run, write_trace_csv
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
 
 
+def _flag_fields(cls):
+    """Fields of a settings dataclass with a flag of their name: all but the schedule."""
+    return [f for f in dataclasses.fields(cls) if f.name != "schedule"]
+
+
+def _add_field_flags(sub, cls):
+    """One flag per field of `_flag_fields(cls)`: its name with dashes, the
+    type and value of its default, and the help in its metadata."""
+    for f in _flag_fields(cls):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                         default=f.default, help=f.metadata.get("help"))
+
+
 def _add_solver_flags(sub):
-    sub.add_argument("--t", type=float, default=SolverConfig.t,
-                     help="momentum growth/decay factor")
-    sub.add_argument("--beta1", type=float, default=SolverConfig.beta1,
-                     help="initial momentum factor")
-    sub.add_argument("--beta-max", type=float, default=SolverConfig.beta_max,
-                     help="momentum cap")
+    _add_field_flags(sub, SolverConfig)
     sub.add_argument("--gamma", type=float, default=Problem.gamma,
                      help="step-size inflation factor")
     sub.add_argument("--lambda", dest="lam", type=float, action="append",
@@ -51,12 +59,6 @@ def _add_solver_flags(sub):
                           "(default: 2e-4)")
     sub.add_argument("--sparsity-frac", type=float, default=0.30,
                      help="per-block nonzero budget as a fraction of the block length")
-    sub.add_argument("--tol-obj", type=float, default=SolverConfig.tol_obj,
-                     help="objective-change tolerance")
-    sub.add_argument("--tol-grad", type=float, default=SolverConfig.tol_grad,
-                     help="gradient-change tolerance")
-    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    sub.add_argument("--max-seconds", type=float, default=SolverConfig.max_seconds)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--no-wall-time", action="store_true",
                      help="record 0.0 for elapsed times so outputs are byte-reproducible")
@@ -79,8 +81,7 @@ def _solver_config(args, schedule):
     """Every solver field but the schedule from the flag of its name; only
     apalm+ starts with momentum."""
     name = SCHEDULE_NAMES[schedule]
-    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
-              if f.name != "schedule"}
+    fields = {f.name: getattr(args, f.name) for f in _flag_fields(SolverConfig)}
     if name != "adaptive":
         fields["beta1"] = 0.0
     return SolverConfig(schedule=name, **fields)
@@ -109,8 +110,7 @@ def _write_sidecar(path, payload):
 
 
 def cmd_gen(args):
-    cfg = SyntheticConfig(**{f.name: getattr(args, f.name)
-                             for f in dataclasses.fields(SyntheticConfig)})
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name) for f in _flag_fields(SyntheticConfig)})
     ds, (v1, v2) = generate_synthetic(cfg)
     save_dataset(ds, args.output)
     _write_sidecar(args.output, {
@@ -276,13 +276,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a synthetic planted-block dataset")
-    gen.add_argument("--rows", type=int, default=SyntheticConfig.rows)
-    gen.add_argument("--cols", type=int, default=SyntheticConfig.cols)
-    gen.add_argument("--block", type=int, default=SyntheticConfig.block,
-                     help="planted block side length")
-    gen.add_argument("--per-class", type=int, default=SyntheticConfig.per_class)
-    gen.add_argument("--margin", type=float, default=SyntheticConfig.margin)
-    gen.add_argument("--seed", type=int, default=SyntheticConfig.seed)
+    _add_field_flags(gen, SyntheticConfig)
     gen.add_argument("-o", "--output", required=True, help="dataset file to write")
 
     train = subs.add_parser("train", help="fit weights on a dataset file")

@@ -3,16 +3,15 @@
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DenseTensor, _exclusive
+from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _exclusive, _frozen
 
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
 FORMAT_VERSION = 1
-_FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
 
 
 class FormatError(ValueError):
@@ -21,15 +20,6 @@ class FormatError(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def _check_finite(X):
-    """Raise unless every entry of a contiguous array is finite. Block by
-    block, so the check allocates no bool array the size of X."""
-    flat = X.reshape(-1)
-    for start in range(0, flat.size, _FINITE_BLOCK):
-        if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-            raise ValueError("sample entries must be finite")
 
 
 class Dataset:
@@ -44,27 +34,19 @@ class Dataset:
     __slots__ = ("_X", "_y")
 
     def __init__(self, samples, labels):
+        # X is frozen last, so a rejected call leaves the caller's arrays writable.
         X = np.asarray(samples, dtype=np.float64)
-        if X.ndim < 2 or X.shape[0] < 1:
-            raise ValueError("samples must form an (n, d_1, ..., d_p) array with n >= 1")
-        if any(d < 1 for d in X.shape[1:]):
-            raise ValueError(f"all feature extents must be >= 1, got {X.shape[1:]}")
-        X = _exclusive(X)
-        _check_finite(X)
-
         y = np.asarray(labels, dtype=np.float64)
         y = _exclusive(y if y.ndim == 1 else y.reshape(-1))
-        if y.size != X.shape[0]:
+        if X.ndim and y.size != X.shape[0]:
             raise ValueError(f"{X.shape[0]} samples but {y.size} labels")
         values = set(np.unique(y).tolist())
         if values <= {0.0, 1.0}:
             y = np.where(y == 0.0, -1.0, 1.0)
         elif not values <= {-1.0, 1.0}:
             raise ValueError(f"labels must be in {{-1,+1}} or {{0,1}}, got {sorted(values)}")
-
-        X.setflags(write=False)
+        self._X = _frozen(X, 2)
         y.setflags(write=False)
-        self._X = X
         self._y = y
 
     @property
@@ -114,7 +96,7 @@ class SyntheticConfig:
 
     rows: int = 200
     cols: int = 200
-    block: int = 20
+    block: int = field(default=20, metadata={"help": "planted block side length"})
     per_class: int = 500
     margin: float = 0.5
     seed: int = 0
@@ -144,10 +126,6 @@ def generate_synthetic(cfg: SyntheticConfig):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     v1 = rng.uniform(0.0, 1.0, size=cfg.block)
     v2 = rng.uniform(0.0, 1.0, size=cfg.block)
-    while not v1.any():  # pragma: no cover - probability zero
-        v1 = rng.uniform(0.0, 1.0, size=cfg.block)
-    while not v2.any():  # pragma: no cover
-        v2 = rng.uniform(0.0, 1.0, size=cfg.block)
 
     direction = np.outer(v1, v2) / (np.dot(v1, v1) * np.dot(v2, v2))
 

@@ -1,11 +1,13 @@
 """Mode contraction kernel.
 
-Every prediction and gradient in this package reduces to the same primitive:
-contract one axis of a dense row-major array with a vector (a mode-n product).
-There is one implementation, a numpy `matmul` on a reshaped view, so BLAS does
-the arithmetic and the array is never copied: the last axis is one
-matrix-vector product over the flattened leading axes, any other axis a
-stacked vector-matrix product over the (outer, d, inner) view.
+Every batch margin and gradient in this package reduces to the same
+primitive: contract one axis of a dense row-major array of stacked samples
+with a vector (a mode-n product). There is one implementation, a numpy
+`matmul` on a reshaped view, so BLAS does the arithmetic and the array is
+never copied: the last axis is one matrix-vector product over the flattened
+leading axes, any other axis a stacked vector-matrix product over the
+(outer, d, inner) view. A single sample does not come here: `predict`
+scores it with `tensor.contract_full`, one product per mode.
 
 Large sample arrays are split by sample. When each sample along axis 0 holds
 at least `_SPLIT_MIN_SAMPLE` elements and the contracted axis is not axis 0,
@@ -117,13 +119,10 @@ def contract_samples(arr, v):
 
 
 def contract_down(arr, vectors, axes):
-    """Contract several axes with paired vectors, highest axis first.
-
-    Processing in descending axis order keeps the remaining axis indices
-    valid while the array shrinks.
-    """
-    order = sorted(range(len(axes)), key=axes.__getitem__, reverse=True)
+    """Contract the axes `axes`, given in ascending order, with paired vectors,
+    highest axis first, which keeps the remaining axis indices valid while
+    the array shrinks."""
     out = arr
-    for i in order:
+    for i in reversed(range(len(axes))):
         out = contract_mode(out, vectors[i], axes[i])
     return out

@@ -26,7 +26,7 @@ contracts X.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,11 +56,11 @@ class SolverConfig:
     step-size inflation factor gamma belongs to the `Problem`."""
 
     schedule: str = "adaptive"
-    t: float = 1.3
-    beta1: float = 0.6
-    beta_max: float = 0.9999
-    tol_obj: float = 1e-5
-    tol_grad: float = 1e-4
+    t: float = field(default=1.3, metadata={"help": "momentum growth/decay factor"})
+    beta1: float = field(default=0.6, metadata={"help": "initial momentum factor"})
+    beta_max: float = field(default=0.9999, metadata={"help": "momentum cap"})
+    tol_obj: float = field(default=1e-5, metadata={"help": "objective-change tolerance"})
+    tol_grad: float = field(default=1e-4, metadata={"help": "gradient-change tolerance"})
     max_iters: int = 2000
     max_seconds: float = 60.0
 
@@ -87,7 +87,9 @@ class SolverConfig:
 class IterTrace:
     """One outer iteration: objective at the new iterate, distance from the
     prox base point (sum of blockwise 2-norms including the bias), momentum
-    factor used, acceptance outcome, and wall time since the run started."""
+    factor used, acceptance outcome, wall time since the run started, and
+    for the convergence diagnostics the objective at the prox base point and
+    the smallest step-size constant of the sweep."""
 
     iter: int
     objective: float
@@ -95,6 +97,8 @@ class IterTrace:
     beta: float
     accepted: bool
     elapsed_seconds: float
+    base_objective: float
+    min_tau: float
 
 
 @dataclass
@@ -104,10 +108,6 @@ class SolveResult:
     stop_reason: str
     problem: Problem
     config: SolverConfig
-    # Per-iteration extras consumed by the convergence diagnostics: objective
-    # at the prox base point and the smallest step-size constant of the sweep.
-    base_objectives: list
-    min_taus: list
 
 
 def nesterov_beta(t_k):
@@ -219,7 +219,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
     beta = config.beta1 if config.schedule == "adaptive" else 0.0
     t_k = 1.0
-    trace, base_objectives, min_taus = [], [], []
+    trace = []
     grads_prev = None
     stop_reason = "max_iters"
     t0 = clock()
@@ -285,18 +285,9 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         gap = sum(math.sqrt(d.dot(d)) for d in (w - b for w, b in zip(work, base)))
         gap += abs(new_b - base_b)
 
-        trace.append(
-            IterTrace(
-                iter=k,
-                objective=J_next,
-                gap=gap,
-                beta=beta_used,
-                accepted=accepted,
-                elapsed_seconds=clock() - t0,
-            )
-        )
-        base_objectives.append(J_base)
-        min_taus.append(min_tau)
+        trace.append(IterTrace(
+            iter=k, objective=J_next, gap=gap, beta=beta_used, accepted=accepted,
+            elapsed_seconds=clock() - t0, base_objective=J_base, min_tau=min_tau))
 
         if iterate_hook is not None:
             iterate_hook(k, work, new_b)
@@ -319,15 +310,8 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         grads_prev = grads_now
 
     params = ModelParams(blocks=tuple(b.copy() for b in cur), bias=cur_b)
-    return SolveResult(
-        params=params,
-        trace=trace,
-        stop_reason=stop_reason,
-        problem=problem,
-        config=config,
-        base_objectives=base_objectives,
-        min_taus=min_taus,
-    )
+    return SolveResult(params=params, trace=trace, stop_reason=stop_reason,
+                       problem=problem, config=config)
 
 
 @dataclass
@@ -354,9 +338,9 @@ def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None, tol=1e-9):
     gaps = [row.gap for row in result.trace]
     worst = -math.inf
     violations = 0
-    for row, J_base, min_tau in zip(result.trace, result.base_objectives, result.min_taus):
-        rho = rho_hat if rho_hat is not None else (gamma - 1.0) / gamma * min_tau / 2.0
-        slack = row.objective - (J_base - rho * row.gap**2)
+    for row in result.trace:
+        rho = rho_hat if rho_hat is not None else (gamma - 1.0) / gamma * row.min_tau / 2.0
+        slack = row.objective - (row.base_objective - rho * row.gap**2)
         worst = max(worst, slack)
         if slack > tol:
             violations += 1

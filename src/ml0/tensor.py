@@ -1,8 +1,9 @@
-"""Dense single-sample tensors and the full multilinear form that scores one."""
+"""Dense single-sample tensors, the check every sample array passes, and the
+full multilinear form that scores one sample."""
 
 import numpy as np
 
-from .kernels import contract_mode
+_FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
 
 
 def _exclusive(a):
@@ -18,6 +19,27 @@ def _exclusive(a):
     return a.copy()
 
 
+def _check_finite(a):
+    """Raise unless every entry of a contiguous array is finite. Block by
+    block, so the check allocates no bool array the size of `a`."""
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+            raise ValueError("sample entries must be finite")
+
+
+def _frozen(a, min_ndim):
+    """`a` as a read-only float64 array of `min_ndim` or more axes, every
+    extent >= 1 and every entry finite; taken or copied as `_exclusive` does."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < min_ndim or 0 in a.shape:
+        raise ValueError(f"need {min_ndim} or more axes, all extents >= 1, got shape {a.shape}")
+    a = _exclusive(a)
+    _check_finite(a)
+    a.setflags(write=False)
+    return a
+
+
 class DenseTensor:
     """Immutable dense sample: an array of order p >= 1, every extent >= 1,
     every entry finite.
@@ -31,14 +53,7 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, array):
-        a = np.asarray(array, dtype=np.float64)
-        if not a.ndim or 0 in a.shape:
-            raise ValueError(f"need one or more extents, all >= 1, got {a.shape}")
-        a = _exclusive(a)
-        if not np.isfinite(a).all():
-            raise ValueError("tensor entries must be finite")
-        a.setflags(write=False)
-        self._array = a
+        self._array = _frozen(array, 1)
 
     @property
     def array(self):
@@ -58,14 +73,15 @@ class DenseTensor:
 
 
 def contract_full(t, blocks):
-    """Full multilinear form: contract every mode with its block vector."""
-    if len(blocks) != t.order:
-        raise ValueError(f"expected {t.order} block vectors, got {len(blocks)}")
+    """Full multilinear form: contract mode p first, then p-1, down to 1,
+    each as one product over the remaining sample. That is the product
+    `kernels.contract_samples` gives each sample of a batch, so a sample
+    scored alone has the bits of its margin in the batch."""
+    blocks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+    shapes = [b.shape for b in blocks]
+    if shapes != [(d,) for d in t.dims]:
+        raise ValueError(f"block shapes {shapes} do not match sample dims {t.dims}")
     out = t.array
     for k in reversed(range(t.order)):
-        v = np.ascontiguousarray(blocks[k], dtype=np.float64)
-        if v.shape != out.shape[-1:]:
-            raise ValueError(f"block {k} must be a vector of length {out.shape[-1]}, "
-                             f"got shape {v.shape}")
-        out = contract_mode(out, v, k)
-    return float(out)
+        out = out.reshape(-1, t.dims[k]) @ blocks[k]
+    return float(out[0])

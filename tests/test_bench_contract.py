@@ -106,11 +106,9 @@ def test_traced_phases_time_the_work_they_name(tmp_path):
     assert metrics["kernels.x_passes"][0] == 2.0
 
 
-def test_harness_runs_a_round_without_failures(tmp_path, monkeypatch):
-    """The benchmark harness (ml0bench/run.py) calls ml0's public API: one
-    setup and one untraced round on a tiny workload run with no failed
-    operation and no problem, so an API change that breaks the harness
-    fails here."""
+def load_harness(monkeypatch, tmp_path):
+    """ml0bench/run.py loaded as the benchmark runs it, and the state of one
+    setup of a tiny workload."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     spec = importlib.util.spec_from_file_location("ml0bench_run", BENCH_DIR / "run.py")
@@ -118,7 +116,37 @@ def test_harness_runs_a_round_without_failures(tmp_path, monkeypatch):
     spec.loader.exec_module(run)
     w = run.Workload("smoke", "", rows=8, cols=8, block=3, per_class=20, sparsity=(3, 3),
                      solves=1, fixed_iters=5, eval_per_class=0, evals=1, setups=1)
-    st = run.setup(ml0, w, 0, tmp_path)
+    return run, w, run.setup(ml0, w, 0, tmp_path)
+
+
+def test_harness_runs_a_round_without_failures(tmp_path, monkeypatch):
+    """The benchmark harness (ml0bench/run.py) calls ml0's public API: one
+    setup and one untraced round on a tiny workload run with no failed
+    operation and no problem, so an API change that breaks the harness
+    fails here."""
+    run, w, st = load_harness(monkeypatch, tmp_path)
     rnd = run.run_round(ml0, w, st, None)
     assert rnd.failed == 0
     assert rnd.problems == []
+
+
+def test_traced_harness_round_reports_every_metric(tmp_path, monkeypatch):
+    """One round of the harness with its tracer installed, as `--trace 1`
+    runs it: no failed operation, no problem, no absent metric, and the
+    single-sample contraction that `ml0.predict` calls is timed."""
+    run, w, st = load_harness(monkeypatch, tmp_path)
+    tracer = run.Tracer()
+    tracer.x_shape = st.solves[0][0].X.shape
+    try:
+        tracer.install()
+        rnd = run.run_round(ml0, w, st, tracer)
+    finally:
+        tracer.uninstall()
+    assert rnd.failed == 0
+    assert rnd.problems == []
+    metrics, absent = run.layer_split(
+        tracer, iterations=len(rnd.iter_s) + len(st.solves), evals=w.evals,
+        predicts=run.PREDICTS, setups=w.setups, x_bytes=st.solves[0][0].X.nbytes,
+        eval_bytes=st.data_path.stat().st_size)
+    assert absent == []
+    assert metrics["tensor.contract_full_us"][0] > 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -15,6 +16,7 @@ from ml0 import (
     ModelParams,
     Problem,
     SolverConfig,
+    SyntheticConfig,
     kernels,
     load_dataset,
     load_params,
@@ -153,11 +155,55 @@ class TestTrain:
 
 
 SOLVER_FIELDS = [f for f in dataclasses.fields(SolverConfig) if f.name != "schedule"]
+GEN_FIELDS = dataclasses.fields(SyntheticConfig)
+SOLVER_HELP = {
+    "t": "momentum growth/decay factor",
+    "beta1": "initial momentum factor",
+    "beta-max": "momentum cap",
+    "tol-obj": "objective-change tolerance",
+    "tol-grad": "gradient-change tolerance",
+    "gamma": "step-size inflation factor",
+}
 
 
 class TestSettingsContract:
-    """Each solver setting is declared once: the flags take their defaults
-    from `SolverConfig` and `Problem`, and the sidecar records every field."""
+    """Each setting is declared once: the flags take their defaults from
+    `SolverConfig`, `Problem` and `SyntheticConfig`, and the sidecar records
+    every field."""
+
+    def test_every_gen_field_has_a_flag_with_its_default(self):
+        parser = build_parser()
+        base = ["gen", "-o", "out"]
+        defaults = parser.parse_args(base)
+        for f in GEN_FIELDS:
+            assert getattr(defaults, f.name) == f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            value = f.type(f.default * 2)
+            assert getattr(parser.parse_args(base + [flag, str(value)]), f.name) == value
+
+    def test_gen_sidecar_records_every_field(self, tmp_path):
+        given = {"rows": 7, "cols": 5, "block": 2, "per_class": 3, "margin": 0.25, "seed": 4}
+        assert set(given) == {f.name for f in GEN_FIELDS}
+        argv = ["gen", "-o", str(tmp_path / "d.ml0t")]
+        for name, value in given.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        sidecar = json.loads((tmp_path / "d.ml0t.json").read_text())
+        assert sidecar["config"] == given
+
+    @pytest.mark.parametrize("command, helps", [
+        ("train", SOLVER_HELP),
+        ("bench", SOLVER_HELP),
+        ("gen", {"block": "planted block side length"}),
+    ])
+    def test_help_shows_each_flag_with_its_help(self, command, helps, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        # Whitespace collapsed, so the check does not depend on the wrap width.
+        out = " ".join(capsys.readouterr().out.split())
+        for flag, text in helps.items():
+            assert re.search(rf"--{flag} \S+ {re.escape(text)}( -|$)", out), flag
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_every_field_has_a_flag_with_its_default(self, command):

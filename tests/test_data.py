@@ -107,6 +107,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             y[0] = 7.0
 
+    @pytest.mark.parametrize("labels", [[1.0, 2.0], [1.0, -1.0, 1.0]])
+    def test_a_rejected_call_leaves_the_arrays_writable(self, labels):
+        X, y = np.ones((2, 3)), np.array(labels)
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(X, y)
+        assert X.flags.writeable and y.flags.writeable
+
     def test_sample_views_the_dataset(self):
         ds = Dataset(np.arange(12.0).reshape(3, 2, 2), [1.0, -1.0, 1.0])
         for i in range(ds.n):

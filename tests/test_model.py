@@ -107,10 +107,11 @@ class TestPredict:
         np.testing.assert_allclose(scaled, 2.5 * (base - 0.7) + 0.7, rtol=1e-12)
 
     @pytest.mark.parametrize("dims", [(7,), (30, 30), (130, 130), (4, 5, 6), (30, 26, 24),
-                                      (200, 200)])
+                                      (200, 200), (3, 20000), (2, 9000), (3, 20000, 1)])
     def test_bitwise_equal_to_the_dataset_margins(self, dims):
         """One margin definition: a sample scored alone has the bits of its
-        margin in the batch, at orders 1-3, below and above the split cutoff."""
+        margin in the batch, at orders 1-3, below and above the split cutoff,
+        also where a sample's first axis holds few rows of many elements."""
         rng = np.random.default_rng(len(dims) + dims[0])
         n = 9
         data = Dataset(rng.standard_normal((n,) + dims), rng.choice([-1.0, 1.0], n))

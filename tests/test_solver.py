@@ -80,8 +80,8 @@ class TestNesterovBeta:
 class TestCheckStop:
     def make_rows(self, j1, j2):
         return (
-            IterTrace(1, j1, 1.0, 0.5, True, 0.0),
-            IterTrace(2, j2, 1.0, 0.5, True, 0.0),
+            IterTrace(1, j1, 1.0, 0.5, True, 0.0, j1, 1.0),
+            IterTrace(2, j2, 1.0, 0.5, True, 0.0, j2, 1.0),
         )
 
     def test_equal_objectives_fire_obj_tol(self):
@@ -291,8 +291,8 @@ class TestRunInvariants:
             result = run(problem, data, init, SolverConfig(max_iters=3))
             assert result.problem is problem
             # Without ridge the bias constant gamma*n/4 is the smallest tau.
-            assert result.min_taus[0] == lipschitz_bias(data, problem)
-            first[gamma] = result.min_taus[0]
+            assert result.trace[0].min_tau == lipschitz_bias(data, problem)
+            first[gamma] = result.trace[0].min_tau
         assert first[7.0] * 1.5 == first[1.5] * 7.0
 
 
@@ -342,6 +342,23 @@ class TestTraceCsv:
         # 17 significant digits survive a round trip
         assert float(first[1]) == result.trace[0].objective
         assert first[4] in ("0", "1")
+
+    def test_rows_hold_the_header_columns_only(self, tmp_path):
+        """The diagnostics fields of a trace row stay out of the CSV, so its
+        bytes match the README format."""
+        rng = np.random.default_rng(8)
+        data = toy_dataset(rng)
+        problem = toy_problem(data.feature_dims)
+        init = random_init(data.feature_dims, problem.sparsity, seed=8)
+        result = run(problem, data, init, SolverConfig(max_iters=12))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(result.trace, path)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == TRACE_HEADER == "iter,objective,gap,beta,accepted,elapsed_seconds"
+        for line, row in zip(lines[1:], result.trace, strict=True):
+            want = [row.iter, row.objective, row.gap, row.beta, row.accepted,
+                    row.elapsed_seconds]
+            assert [float(v) for v in line.split(",")] == want
 
 
 class TestDiagnostics:
@@ -566,7 +583,7 @@ def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
             )
             assert tested[k - 1] == (row.beta != 0.0 and moved), (schedule, k)
             if not tested[k - 1]:
-                assert result.base_objectives[k - 1] == objectives[k - 1], (schedule, k)
+                assert row.base_objective == objectives[k - 1], (schedule, k)
         if schedule == "none":
             assert not any(tested)
         else:

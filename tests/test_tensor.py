@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ml0 import DenseTensor, contract_full
+from ml0 import DenseTensor
 from ml0.kernels import contract_down, contract_mode
+from ml0.tensor import contract_full
 
 
 def random_tensor(rng, max_order=4, max_dim=6):
@@ -77,6 +78,12 @@ class TestContractFull:
         blocks = [rng.standard_normal(d) for d in t.dims]
         blocks[1] = np.zeros(3)
         assert contract_full(t, blocks) == 0.0
+
+    @pytest.mark.parametrize("shapes", [[(2,)], [(2,), (4,)], [(2,), (3, 1)], [(2,), (3,), (1,)]])
+    def test_block_shapes_must_match_the_sample(self, shapes):
+        t = DenseTensor(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="do not match sample dims"):
+            contract_full(t, [np.ones(s) for s in shapes])
 
     def test_order_independence(self):
         rng = np.random.default_rng(11)
