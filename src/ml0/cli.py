@@ -253,8 +253,8 @@ def cmd_bench(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)
-        _write_sidecar(args.output, _config_dump(
-            args, problem, _solver_config(args, schedules[0]), extra={
+        _write_sidecar(args.output, _config_dump(  # apalm+: every flag as given
+            args, problem, _solver_config(args, "apalm+"), extra={
                 "command": "bench",
                 "dataset": str(args.dataset),
                 "schedules": schedules,

@@ -1,6 +1,7 @@
 """Datasets: synthetic generation, normalization, splitting, and binary persistence."""
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,9 +46,8 @@ class Dataset:
             y = np.where(y == 0.0, -1.0, 1.0)
         elif not values <= {-1.0, 1.0}:
             raise ValueError(f"labels must be in {{-1,+1}} or {{0,1}}, got {sorted(values)}")
-        self._X = _frozen(X, 2)
         y.setflags(write=False)
-        self._y = y
+        self._X, self._y = _frozen(X, 2), y
 
     @property
     def X(self):
@@ -67,21 +67,30 @@ class Dataset:
     def feature_dims(self):
         return self._X.shape[1:]
 
-    @property
-    def order(self):
-        return self._X.ndim - 1
+    @classmethod
+    def _checked(cls, X, y):
+        """A dataset of arrays that passed its checks, which it marks read-only."""
+        ds = cls.__new__(cls)
+        ds._X, ds._y = X, y
+        X.setflags(write=False)
+        y.setflags(write=False)
+        return ds
 
     def sample(self, i):
-        """Sample i as a DenseTensor viewing X, without a copy."""
-        return DenseTensor(self._X[i])
+        """Sample i as a DenseTensor viewing X, without a copy or a second check."""
+        return DenseTensor._checked(self._X[operator.index(i)])
 
     def chunks(self):
         """All samples as one chunk, (0, X), as `DatasetStream.chunks` yields them."""
         yield 0, self._X
 
     def subset(self, indices):
+        """The samples a 1-D selection picks, one or more, without a second check."""
         indices = np.asarray(indices)
-        return Dataset(self._X[indices], self._y[indices])
+        y = self._y[indices]
+        if y.ndim != 1 or not y.size:
+            raise ValueError(f"subset needs a 1-D selection of samples, got {indices.shape}")
+        return Dataset._checked(self._X[indices], y)
 
 
 @dataclass(frozen=True)

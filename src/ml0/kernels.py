@@ -118,11 +118,10 @@ def contract_samples(arr, v):
     return out
 
 
-def contract_down(arr, vectors, axes):
-    """Contract the axes `axes`, given in ascending order, with paired vectors,
-    highest axis first, which keeps the remaining axis indices valid while
-    the array shrinks."""
-    out = arr
-    for i in reversed(range(len(axes))):
-        out = contract_mode(out, vectors[i], axes[i])
-    return out
+def contract_down(arr, blocks, skip=None):
+    """Contract axis k+1 of stacked samples with `blocks[k]` for every k but
+    `skip`, highest axis first, so the lower axes keep their indices."""
+    for k in reversed(range(len(blocks))):
+        if k != skip:
+            arr = contract_mode(arr, blocks[k], k + 1)
+    return arr

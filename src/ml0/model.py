@@ -14,30 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import contract_down, contract_samples
-from .tensor import DenseTensor, contract_full
+from .tensor import DenseTensor, _frozen, contract_full
 
 SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Weight blocks (one vector per tensor mode) plus a scalar bias."""
+    """Weight blocks (one read-only vector per tensor mode) plus a scalar bias."""
 
     blocks: tuple
     bias: float
 
     def __post_init__(self):
-        blocks = tuple(np.ascontiguousarray(b, dtype=np.float64) for b in self.blocks)
-        if not blocks:
-            raise ValueError("at least one weight block is required")
-        for i, b in enumerate(blocks):
-            if b.ndim != 1 or b.size < 1:
-                raise ValueError(f"block {i} must be a nonempty vector")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"block {i} has non-finite entries")
+        blocks = tuple(self.blocks)
+        if not blocks or any(np.ndim(b) != 1 for b in blocks):
+            raise ValueError("need one or more weight blocks, each a vector")
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(_frozen(b, 1) for b in blocks))
         object.__setattr__(self, "bias", float(self.bias))
 
     @property
@@ -92,17 +87,13 @@ def _check_shapes(blocks, data, problem=None):
 
 def margin_batch(X, blocks, bias):
     """Margins f(X_s) = <X_s, w_1 x ... x w_p> + b for a stacked sample array."""
-    axes = list(range(1, len(blocks) + 1))
-    return contract_down(X, list(blocks), axes) + bias
+    return contract_down(X, blocks) + bias
 
 
 def grad_direction_batch(X, blocks, skip):
     """Rows are the per-sample gradient directions of the multilinear form
     with respect to block `skip` (all other modes contracted away)."""
-    axes = [k + 1 for k in range(len(blocks)) if k != skip]
-    vecs = [blocks[k] for k in range(len(blocks)) if k != skip]
-    out = contract_down(X, vecs, axes)
-    return out.reshape(X.shape[0], -1)
+    return contract_down(X, blocks, skip).reshape(X.shape[0], -1)
 
 
 def _dloss_dmargin(m):
@@ -114,8 +105,7 @@ def _dloss_dmargin(m):
 def loss_coefficients(margins, labels):
     """Per-sample factor c_s = -y_s * sigmoid(-y_s f_s) multiplying the
     gradient direction in every partial derivative of the smooth loss."""
-    m = labels * margins
-    return labels * _dloss_dmargin(m)
+    return labels * _dloss_dmargin(labels * margins)
 
 
 def logistic_terms(margins, labels):
@@ -196,9 +186,8 @@ def block_step(G, w, bias, labels, lam, gamma):
 
 
 def _block_step_at(params, data, problem, j):
-    p = params.order
-    if not 0 <= j < p:
-        raise IndexError(f"block index {j} out of range for {p} blocks")
+    if not 0 <= j < params.order:
+        raise IndexError(f"block index {j} out of range for {params.order} blocks")
     _check_shapes(params.blocks, data, problem)
     G = grad_direction_batch(data.X, params.blocks, j)
     return block_step(G, params.blocks[j], params.bias, data.y, problem.ridge[j], problem.gamma)

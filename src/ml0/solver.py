@@ -132,8 +132,7 @@ def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
     """
     if abs(cur_row.objective - prev_row.objective) / n < config.tol_obj:
         return "obj_tol"
-    diff = family_norm([c - p for c, p in zip(cur_grads, prev_grads)])
-    if diff / n < config.tol_grad:
+    if family_norm([c - p for c, p in zip(cur_grads, prev_grads)]) / n < config.tol_grad:
         return "grad_tol"
     return None
 
@@ -203,13 +202,11 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     if not is_feasible(init.blocks, problem.sparsity):
         raise ValueError("initial point violates its sparsity caps")
 
-    X, y = data.X, data.y
-    n = data.n
+    X, y, n = data.X, data.y, data.n
     ridge, sparsity, gamma = problem.ridge, problem.sparsity, problem.gamma
     tau_bias = lipschitz_bias(data, problem)
 
-    cur = [b.copy() for b in init.blocks]
-    prev = [b.copy() for b in init.blocks]
+    cur = prev = list(init.blocks)  # read-only; every step makes new blocks
     cur_b = prev_b = init.bias
     # Cached partials P = X x_p w_p at the current and previous iterates.
     J_cur, P_cur = _objective_at(X, y, cur, cur_b, ridge, sparsity)
@@ -282,8 +279,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
         m_final = m_blocks + (new_b - base_b)
         J_next = smooth_loss_from_margins(m_final, y, work, ridge)
-        gap = sum(math.sqrt(d.dot(d)) for d in (w - b for w, b in zip(work, base)))
-        gap += abs(new_b - base_b)
+        gap = family_norm([w - b for w, b in zip(work, base)]) + abs(new_b - base_b)
 
         trace.append(IterTrace(
             iter=k, objective=J_next, gap=gap, beta=beta_used, accepted=accepted,
@@ -309,7 +305,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
                 break
         grads_prev = grads_now
 
-    params = ModelParams(blocks=tuple(b.copy() for b in cur), bias=cur_b)
+    params = ModelParams(blocks=tuple(cur), bias=cur_b)
     return SolveResult(params=params, trace=trace, stop_reason=stop_reason,
                        problem=problem, config=config)
 

@@ -1,5 +1,5 @@
-"""Dense single-sample tensors, the check every sample array passes, and the
-full multilinear form that scores one sample."""
+"""Dense single-sample tensors, the check every sample array and weight block
+passes, and the full multilinear form that scores one sample."""
 
 import numpy as np
 
@@ -25,7 +25,7 @@ def _check_finite(a):
     flat = a.reshape(-1)
     for start in range(0, flat.size, _FINITE_BLOCK):
         if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-            raise ValueError("sample entries must be finite")
+            raise ValueError("entries must be finite")
 
 
 def _frozen(a, min_ndim):
@@ -46,14 +46,21 @@ class DenseTensor:
 
     `DenseTensor(array)` keeps `array` as read-only float64 (`.array`). An
     array that owns its memory is kept and marked read-only, and so is a
-    view of read-only memory, as `Dataset.sample` passes; any other input
-    is copied, so no writable array can change the sample after its check.
+    view of read-only memory; any other input is copied, so no writable
+    array can change the sample after its check.
     """
 
     __slots__ = ("_array",)
 
     def __init__(self, array):
         self._array = _frozen(array, 1)
+
+    @classmethod
+    def _checked(cls, array):
+        """A sample holding a read-only array that already passed `_frozen`."""
+        t = cls.__new__(cls)
+        t._array = array
+        return t
 
     @property
     def array(self):

@@ -153,6 +153,15 @@ class TestTrain:
         rc = main(["train", str(tmp_path / "absent.ml0t"), "-o", str(tmp_path / "m.ml0w")])
         assert rc == 1
 
+    @pytest.mark.parametrize("frac", ["0", "-0.5", "1.5"])
+    def test_sparsity_fraction_outside_unit_interval_exit_one(self, toy_dataset, tmp_path,
+                                                               capsys, frac):
+        model = tmp_path / "m.ml0w"
+        rc = main(["train", str(toy_dataset), "-o", str(model), "--sparsity-frac", frac])
+        assert rc == 1
+        assert "sparsity fraction must lie in (0, 1]" in capsys.readouterr().err
+        assert not model.exists()
+
 
 SOLVER_FIELDS = [f for f in dataclasses.fields(SolverConfig) if f.name != "schedule"]
 GEN_FIELDS = dataclasses.fields(SyntheticConfig)
@@ -345,6 +354,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: sidecar ") and "m.ml0w.json" in err
 
+    def test_missing_sidecar_exit_one(self, toy_dataset, trained, tmp_path, capsys):
+        model = tmp_path / "bare.ml0w"
+        model.write_bytes(trained.read_bytes())
+        rc = main(["eval", str(model), str(toy_dataset)])
+        assert rc == 1
+        assert "missing sidecar" in capsys.readouterr().err
+
     def test_sidecar_needs_no_gamma(self, toy_dataset, trained, tmp_path, capsys):
         rc = main(["eval", str(trained), str(toy_dataset)])
         want = capsys.readouterr().out
@@ -512,6 +528,24 @@ class TestBench:
         assert "fewer than 2 runs" in capsys.readouterr().err
         summary = [l for l in read_csv(out) if ",mean+-std," in l][0]
         assert "+-0" in summary
+
+    def test_sidecar_records_the_flags_in_any_schedule_order(self, toy_dataset, tmp_path):
+        sidecars = []
+        for order in ("apalm+,bpgd", "bpgd,apalm+"):
+            out = tmp_path / f"{order}.csv"
+            rc = main(["bench", str(toy_dataset), "--schedules", order, "--runs", "1",
+                       "--max-iters", "5", "--beta1", "0.5", "--no-wall-time", "-o", str(out)])
+            assert rc == 0
+            sidecars.append(json.loads((tmp_path / f"{order}.csv.json").read_text()))
+        assert [s.pop("schedules") for s in sidecars] == [["apalm+", "bpgd"], ["bpgd", "apalm+"]]
+        assert sidecars[0] == sidecars[1]
+        assert sidecars[0]["beta1"] == 0.5
+
+    def test_zero_runs_exit_one(self, toy_dataset, tmp_path, capsys):
+        rc = main(["bench", str(toy_dataset), "--runs", "0", "-o", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "--runs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_schedule_exit_one(self, toy_dataset, capsys):
         rc = main(["bench", str(toy_dataset), "--schedules", "sgd"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ml0.data
+import ml0.tensor
 from ml0 import (
     Dataset,
     DatasetStream,
@@ -128,6 +129,33 @@ class TestDataset:
         assert sub.n == 2
         np.testing.assert_array_equal(sub.y, [1.0, 1.0])
 
+    @pytest.mark.parametrize("indices", [np.arange(0), np.zeros(5, dtype=bool), [[0, 1]], 2],
+                             ids=["no-index", "all-false-mask", "2-d", "scalar"])
+    def test_subset_needs_a_nonempty_1d_selection(self, indices):
+        ds = Dataset(np.ones((5, 2)), [1.0, -1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="1-D selection"):
+            ds.subset(indices)
+
+    def test_sample_and_subset_reuse_the_checked_arrays(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        ds = Dataset(rng.standard_normal((6, 3, 2)), [1.0, -1.0] * 3)
+
+        def scanned(a):
+            raise AssertionError("checked memory was scanned again")
+
+        monkeypatch.setattr(ml0.tensor, "_check_finite", scanned)
+        sub = ds.subset(np.array([4, 1, 4]))
+        np.testing.assert_array_equal(sub.X, ds.X[[4, 1, 4]])
+        np.testing.assert_array_equal(sub.y, [1.0, -1.0, 1.0])
+        mask = ds.subset(ds.y > 0)
+        assert mask.n == 3 and (mask.y == 1.0).all()
+        for a in (sub.X, sub.y, ds.sample(np.int64(2)).array):
+            assert not a.flags.writeable
+        with pytest.raises(TypeError):
+            ds.sample(np.array([0, 1]))
+        with pytest.raises(TypeError):
+            ds.sample(1.0)
+
 
 class TestGenerateSynthetic:
     def test_desk_scale_constraints_hold_for_all_samples(self):
@@ -163,6 +191,18 @@ class TestGenerateSynthetic:
     def test_block_must_fit(self):
         with pytest.raises(ValueError, match="block"):
             SyntheticConfig(rows=4, cols=4, block=5, per_class=1)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"rows": 0, "block": 0}, "dimensions must be positive"),
+        ({"rows": 4, "cols": 4, "block": 0}, "dimensions must be positive"),
+        ({"rows": 4, "cols": -1, "block": -2}, "dimensions must be positive"),
+        ({"per_class": 0}, "per_class"),
+        ({"margin": 0.0}, "margin"),
+        ({"margin": -0.5}, "margin"),
+    ])
+    def test_invalid_config_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticConfig(**fields)
 
     def test_bits_pinned_and_peak_is_two_copies_of_x(self):
         # Digests of the generator that concatenated the two classes (numpy
@@ -216,6 +256,12 @@ class TestNormalize:
             out.X, (held.X - scaler.center) / scaler.halfrange, rtol=1e-14
         )
 
+    def test_scaler_rejects_other_dims(self):
+        rng = np.random.default_rng(6)
+        _, scaler = normalize_per_feature(Dataset(rng.standard_normal((4, 2, 3)), [1, -1] * 2))
+        with pytest.raises(ValueError, match="scaler fitted on dims"):
+            scaler.apply(Dataset(rng.standard_normal((4, 3, 2)), [1, -1] * 2))
+
 
 class TestSplit:
     def make(self, n_pos, n_neg, seed=0):
@@ -249,6 +295,11 @@ class TestSplit:
         ds = self.make(1, 10)
         with pytest.raises(ValueError, match="at least 2"):
             split(ds, 0.5, seed=0)
+
+    def test_empty_class_side_rejected(self):
+        ds = self.make(2, 2)
+        with pytest.raises(ValueError, match="empty class"):
+            split(ds, 0.1, seed=0)
 
     def test_bad_fraction_rejected(self):
         ds = self.make(5, 5)
@@ -377,6 +428,20 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="trailing") as err:
             load_dataset(path)
         assert err.value.offset == end
+
+    @pytest.mark.parametrize("count, dims, n, match, offset", [
+        (0, (), 1, "dim count must be >= 1", 8),
+        (2, (3, 0), 1, "zero extent in dims", 12),
+        (2, (0, 2), 1, "zero extent in dims", 12),
+        (2, (3, 2), 0, "sample count must be >= 1", 28),
+    ], ids=["zero-dim-count", "zero-last-extent", "zero-first-extent", "zero-samples"])
+    def test_empty_header_field_rejected(self, tmp_path, count, dims, n, match, offset):
+        header = b"ML0T" + struct.pack(f"<II{len(dims)}Q", 1, count, *dims)
+        path = tmp_path / "empty.ml0t"
+        path.write_bytes(header + struct.pack("<Q", n) + b"\x01" * 64)
+        with pytest.raises(FormatError, match=match) as err:
+            load_dataset(path)
+        assert err.value.offset == offset
 
     @pytest.mark.parametrize(
         "dims, n, what", [((3, 2), 2**40, "labels"), ((2**31, 2**31), 1, "sample data")]

@@ -33,7 +33,7 @@ def test_contract_down_descending_fold():
     rng = np.random.default_rng(10)
     arr = np.ascontiguousarray(rng.standard_normal((2, 3, 4)))
     vs = [rng.standard_normal(d) for d in (3, 4)]
-    out = kernels.contract_down(arr, vs, [1, 2])
+    out = kernels.contract_down(arr, vs)
     want = np.einsum("ijk,j,k->i", arr, vs[0], vs[1])
     np.testing.assert_allclose(out, want, rtol=1e-13)
 

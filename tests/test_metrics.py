@@ -54,6 +54,11 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="labels"):
             accuracy([1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("metric", [accuracy, auc])
+    def test_empty_input_rejected(self, metric):
+        with pytest.raises(ValueError, match="at least one sample"):
+            metric([], [])
+
 
 class TestAuc:
     def test_perfect_separation(self):

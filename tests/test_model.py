@@ -23,6 +23,7 @@ from ml0 import (
     margins,
     objective,
     predict,
+    random_init,
     run,
     save_dataset,
     smooth_loss,
@@ -83,6 +84,51 @@ def fd_grad_bias(params, data, problem, h=1e-6):
     up = ModelParams(blocks=params.blocks, bias=params.bias + h)
     down = ModelParams(blocks=params.blocks, bias=params.bias - h)
     return (smooth_loss(up, data, problem) - smooth_loss(down, data, problem)) / (2 * h)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("blocks, bias, match", [
+        ((), 0.0, "one or more weight blocks"),
+        ((np.ones((2, 2)),), 0.0, "each a vector"),
+        ((np.ones(3), 2.0), 0.0, "each a vector"),
+        ((np.ones(0),), 0.0, "extents >= 1"),
+        ((np.ones(2), np.array([1.0, np.nan])), 0.0, "finite"),
+        ((np.array([np.inf, 1.0]),), 0.0, "finite"),
+        ((np.ones(2),), math.inf, "bias must be finite"),
+        ((np.ones(2),), math.nan, "bias must be finite"),
+    ], ids=["no-block", "matrix-block", "scalar-block", "empty-block", "nan-entry",
+            "inf-entry", "inf-bias", "nan-bias"])
+    def test_invalid_params_rejected(self, blocks, bias, match):
+        with pytest.raises(ValueError, match=match):
+            ModelParams(blocks=blocks, bias=bias)
+
+    def test_writes_through_the_callers_arrays_cannot_change_the_params(self):
+        w, v = np.ones(3), np.ones(2)
+        params = ModelParams((w, v), 0.0)
+        x = DenseTensor(np.ones((3, 2)))
+        # Owned arrays are kept and made read-only, so the write fails.
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = np.nan
+        # A view of writable memory is copied, so the write does not reach it.
+        base = np.ones(5)
+        viewed = ModelParams((base[:3], v), 0.0)
+        base[:] = np.nan
+        assert predict(params, x) == predict(viewed, x) == 6.0
+        for b in params.blocks + viewed.blocks:
+            assert not b.flags.writeable and b.flags.c_contiguous and b.dtype == np.float64
+        assert not np.shares_memory(viewed.blocks[0], base)
+
+    def test_random_init_blocks_are_read_only(self):
+        params = random_init((3, 2), (2, 1), seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            params.blocks[0][:] = np.inf
+
+    def test_blocks_become_contiguous_float64(self):
+        params = ModelParams(blocks=([1, 2, 3], np.arange(6.0)[::2]), bias=1)
+        for b in params.blocks:
+            assert b.dtype == np.float64 and b.flags.c_contiguous
+        np.testing.assert_array_equal(params.blocks[1], [0.0, 2.0, 4.0])
+        assert type(params.bias) is float
 
 
 class TestPredict:
@@ -205,6 +251,20 @@ class TestPerBlockProblem:
         ):
             with pytest.raises(ValueError, match=match):
                 call()
+
+    @pytest.mark.parametrize("ridge, sparsity, gamma, match", [
+        ((1.0, 1.0), (3,), 1.5, "one entry per block"),
+        ((1.0, -1e-9), (3, 3), 1.5, "nonnegative"),
+        ((1.0, 1.0), (3, 0), 1.5, ">= 1"),
+        ((1.0, 1.0), (3, -2), 1.5, ">= 1"),
+        ((1.0, 1.0), (3, 3), 1.0, "gamma must exceed 1"),
+        ((1.0, 1.0), (3, 3), 0.5, "gamma must exceed 1"),
+        ((1.0, 1.0), (3, 3), math.nan, "gamma must exceed 1"),
+    ], ids=["length-mismatch", "negative-ridge", "zero-cap", "negative-cap", "gamma-one",
+            "gamma-below-one", "gamma-nan"])
+    def test_invalid_problem_rejected(self, ridge, sparsity, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            Problem(ridge=ridge, sparsity=sparsity, gamma=gamma)
 
     @pytest.mark.parametrize("cap", [2.7, 3.0, np.float64(3.0), True, np.True_, "3", None])
     def test_non_integer_cap_rejected(self, cap):

@@ -195,6 +195,19 @@ class TestRunBasics:
         with pytest.raises(TypeError):  # gamma belongs to the problem
             SolverConfig(gamma=1.5)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("beta_max", 1.0, "beta_max"),
+        ("beta_max", -0.1, "beta_max"),
+        ("tol_obj", 0.0, "tolerances"),
+        ("tol_grad", -1e-4, "tolerances"),
+        ("max_iters", 0, "max_iters"),
+        ("max_seconds", 0.0, "max_seconds"),
+    ])
+    def test_field_bounds(self, field, value, match):
+        fields = {field: value, "beta1": 0.0} if field == "beta_max" else {field: value}
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**fields)
+
 
 class TestRunInvariants:
     def run_toy(self, schedule, seed=3, **kwargs):
@@ -391,6 +404,18 @@ class TestDiagnostics:
         init = random_init(data.feature_dims, problem.sparsity, seed=11)
         result = run(problem, data, init, SolverConfig(max_iters=40))
         assert diagnose_sufficient_decrease(result, rho_hat=0.0).violations == 0
+
+    def test_large_rho_hat_counts_violations(self):
+        rng = np.random.default_rng(11)
+        data = toy_dataset(rng)
+        problem = toy_problem(data.feature_dims)
+        init = random_init(data.feature_dims, problem.sparsity, seed=11)
+        result = run(problem, data, init, SolverConfig(max_iters=40))
+        moved = sum(row.gap > 0.0 for row in result.trace)
+        assert moved > 0
+        report = diagnose_sufficient_decrease(result, rho_hat=1e12)
+        assert report.violations == moved
+        assert report.max_violation > 0.0
 
 
 def cache_runs():

@@ -108,7 +108,7 @@ class TestContractFull:
                 dims = tuple(int(d) for d in rng.integers(1, 7, size=order))
                 t = DenseTensor(rng.standard_normal(dims))
                 blocks = [rng.standard_normal(d) for d in dims]
-                want = float(contract_down(t.array, blocks, range(order)).reshape(()))
+                want = float(contract_down(t.array[None], blocks).reshape(()))
                 assert contract_full(t, blocks).hex() == want.hex()
 
     def test_linearity_in_each_block(self):
