@@ -1,6 +1,7 @@
 """Datasets: synthetic generation, normalization, splitting, and binary persistence."""
 
 import math
+import mmap
 import operator
 import os
 import struct
@@ -35,7 +36,8 @@ class Dataset:
     __slots__ = ("_X", "_y")
 
     def __init__(self, samples, labels):
-        # X is frozen last, so a rejected call leaves the caller's arrays writable.
+        # y is frozen only once X passed, so a rejected call leaves the
+        # caller's arrays writable.
         X = np.asarray(samples, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         y = _exclusive(y if y.ndim == 1 else y.reshape(-1))
@@ -46,8 +48,9 @@ class Dataset:
             y = np.where(y == 0.0, -1.0, 1.0)
         elif not values <= {-1.0, 1.0}:
             raise ValueError(f"labels must be in {{-1,+1}} or {{0,1}}, got {sorted(values)}")
+        (X,) = _frozen((X,), 2)
         y.setflags(write=False)
-        self._X, self._y = _frozen(X, 2), y
+        self._X, self._y = X, y
 
     @property
     def X(self):
@@ -129,8 +132,9 @@ def generate_synthetic(cfg: SyntheticConfig):
     reflects the bilinear score across the class boundary (clipping scores
     onto the boundary instead leaves the classes barely distinguishable).
     The +margin class gets label +1, the -margin class label -1. Classes are
-    drawn in that order into the two halves of one array, then shuffled by
-    the seed. The RNG is numpy's PCG64 so runs reproduce across platforms.
+    drawn in that order into the two halves of one array, whose rows are
+    then shuffled by the seed in place, so the dataset holds that one array.
+    The RNG is numpy's PCG64 so runs reproduce across platforms.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     v1 = rng.uniform(0.0, 1.0, size=cfg.block)
@@ -154,7 +158,31 @@ def generate_synthetic(cfg: SyntheticConfig):
         corner += deficit[:, None, None] * direction
     y = np.concatenate([np.ones(per), -np.ones(per)])
     order = rng.permutation(2 * per)
-    return Dataset(X[order], y[order]), (v1, v2)
+    _permute_rows(X, order)
+    return Dataset(X, y[order]), (v1, v2)
+
+
+def _permute_rows(X, order):
+    """Set X[:] = X[order] in place for a C-contiguous X, one band of columns
+    of the (n, m) view at a time, gathered in chunks of about `_FINITE_BLOCK`
+    elements: the only extra memory is one band (about 1/16 of X, at any
+    shape) and one chunk.
+
+    The band is an anonymous mapping of its own, unmapped when it is freed.
+    From malloc it would raise glibc's mmap threshold (freeing a mapped
+    block of up to 32 MiB does that), and later blocks below the new
+    threshold would stay resident on the heap after they are freed."""
+    flat = X.reshape(X.shape[0], -1)
+    n, m = flat.shape
+    width = max(1, m // 16)
+    band = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
+    rows = max(1, _FINITE_BLOCK // width)
+    for lo in range(0, m, width):
+        cols = flat[:, lo : lo + width]
+        gathered = band[:, : cols.shape[1]]
+        for r in range(0, n, rows):
+            gathered[r : r + rows] = cols[order[r : r + rows]]
+        cols[...] = gathered
 
 
 @dataclass(frozen=True)
@@ -169,9 +197,12 @@ class FeatureScaler:
             raise ValueError(
                 f"scaler fitted on dims {self.center.shape}, dataset has {ds.feature_dims}"
             )
-        safe = np.where(self.halfrange > 0.0, self.halfrange, 1.0)
-        scaled = np.where(self.halfrange > 0.0, (ds.X - self.center) / safe, 0.0)
-        return Dataset(scaled, ds.y)
+        # Scaled in place in one buffer, so the peak is one copy of X.
+        positive = self.halfrange > 0.0
+        out = ds.X - self.center
+        out /= np.where(positive, self.halfrange, 1.0)
+        out[:, ~positive] = 0.0
+        return Dataset(out, ds.y)
 
 
 def normalize_per_feature(ds: Dataset):

@@ -32,7 +32,7 @@ class ModelParams:
             raise ValueError("need one or more weight blocks, each a vector")
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        object.__setattr__(self, "blocks", tuple(_frozen(b, 1) for b in blocks))
+        object.__setattr__(self, "blocks", _frozen(blocks, 1))
         object.__setattr__(self, "bias", float(self.bias))
 
     @property

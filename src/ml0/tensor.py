@@ -28,16 +28,22 @@ def _check_finite(a):
             raise ValueError("entries must be finite")
 
 
-def _frozen(a, min_ndim):
-    """`a` as a read-only float64 array of `min_ndim` or more axes, every
-    extent >= 1 and every entry finite; taken or copied as `_exclusive` does."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim < min_ndim or 0 in a.shape:
-        raise ValueError(f"need {min_ndim} or more axes, all extents >= 1, got shape {a.shape}")
-    a = _exclusive(a)
-    _check_finite(a)
-    a.setflags(write=False)
-    return a
+def _frozen(arrays, min_ndim):
+    """Each array as a read-only float64 array of `min_ndim` or more axes,
+    every extent >= 1 and every entry finite; taken or copied as `_exclusive`
+    does. All are checked before any is marked read-only, so a rejected call
+    leaves the caller's arrays writable."""
+    checked = []
+    for a in arrays:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim < min_ndim or 0 in a.shape:
+            raise ValueError(f"need {min_ndim} or more axes, all extents >= 1, got shape {a.shape}")
+        a = _exclusive(a)
+        _check_finite(a)
+        checked.append(a)
+    for a in checked:
+        a.setflags(write=False)
+    return tuple(checked)
 
 
 class DenseTensor:
@@ -53,7 +59,7 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, array):
-        self._array = _frozen(array, 1)
+        (self._array,) = _frozen((array,), 1)
 
     @classmethod
     def _checked(cls, array):

@@ -118,6 +118,15 @@ class TestModelParams:
             assert not b.flags.writeable and b.flags.c_contiguous and b.dtype == np.float64
         assert not np.shares_memory(viewed.blocks[0], base)
 
+    @pytest.mark.parametrize("bad", [np.array([np.nan]), np.ones((1, 1)), np.ones(0)],
+                             ids=["nan-block", "matrix-block", "empty-block"])
+    def test_a_rejected_call_leaves_the_callers_blocks_writable(self, bad):
+        w, v = np.ones(3), np.ones(2)
+        with pytest.raises(ValueError):
+            ModelParams((w, v, bad), 0.0)
+        assert w.flags.writeable and v.flags.writeable
+        w[0] = 2.0
+
     def test_random_init_blocks_are_read_only(self):
         params = random_init((3, 2), (2, 1), seed=0)
         with pytest.raises(ValueError, match="read-only"):
