@@ -10,6 +10,13 @@ def _as_arrays(margins, labels):
         raise ValueError(f"{m.size} margins but {y.size} labels")
     if m.size < 1:
         raise ValueError("need at least one sample")
+    # Elementwise, O(n): no sort on the path of a valid call.
+    if not (np.abs(y) == 1.0).all():
+        found = np.unique(y[np.abs(y) != 1.0]).tolist()
+        raise ValueError(f"labels must be -1 or +1, found {found}")
+    if np.isnan(m).any():
+        nans = np.count_nonzero(np.isnan(m))
+        raise ValueError(f"margins must not be NaN, found {nans} NaN of {m.size}")
     return m, y
 
 
@@ -24,8 +31,11 @@ def accuracy(margins, labels) -> float:
 
 
 def _average_ranks(x):
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(x, kind="stable")
+    """1-based ranks with ties sharing their group's average rank. Every
+    member of a run of equal values gets the run's rank, so the order the
+    sort leaves within a run does not reach the ranks: no stable sort needed
+    (NaN, which equals nothing, is rejected before)."""
+    order = np.argsort(x)
     xs = x[order]
     # Runs of equal sorted values [start, end] share the rank (start + end) / 2 + 1.
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))

@@ -99,7 +99,8 @@ def grad_direction_batch(X, blocks, skip):
 def _dloss_dmargin(m):
     """Derivative of log(1 + exp(-m)) in m, computed without overflow."""
     e = np.exp(-np.abs(m))
-    return np.where(m >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
+    d = 1.0 + e
+    return np.where(m >= 0, -e / d, -1.0 / d)
 
 
 def loss_coefficients(margins, labels):

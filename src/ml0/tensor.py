@@ -4,6 +4,7 @@ passes, and the full multilinear form that scores one sample."""
 import numpy as np
 
 _FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
+_F64 = np.dtype(np.float64)
 
 
 def _exclusive(a):
@@ -89,12 +90,26 @@ def contract_full(t, blocks):
     """Full multilinear form: contract mode p first, then p-1, down to 1,
     each as one product over the remaining sample. That is the product
     `kernels.contract_samples` gives each sample of a batch, so a sample
-    scored alone has the bits of its margin in the batch."""
-    blocks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
-    shapes = [b.shape for b in blocks]
-    if shapes != [(d,) for d in t.dims]:
-        raise ValueError(f"block shapes {shapes} do not match sample dims {t.dims}")
+    scored alone has the bits of its margin in the batch.
+
+    A block that is already a C-contiguous float64 ndarray is used as it is;
+    any other (a list, ints) is converted first, as `np.ascontiguousarray`
+    converts it."""
     out = t.array
-    for k in reversed(range(t.order)):
-        out = out.reshape(-1, t.dims[k]) @ blocks[k]
+    dims = out.shape
+    if len(blocks) != len(dims):
+        raise _shape_mismatch(blocks, dims)
+    for k in range(len(dims) - 1, -1, -1):
+        w = blocks[k]
+        if type(w) is not np.ndarray or w.dtype is not _F64 or not w.flags.c_contiguous:
+            w = np.ascontiguousarray(w, dtype=np.float64)
+        d = dims[k]
+        if w.shape != (d,):
+            raise _shape_mismatch(blocks, dims)
+        out = out.reshape(-1, d) @ w
     return float(out[0])
+
+
+def _shape_mismatch(blocks, dims):
+    shapes = [np.ascontiguousarray(b, dtype=np.float64).shape for b in blocks]
+    return ValueError(f"block shapes {shapes} do not match sample dims {dims}")

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ml0
 import ml0.data
 import ml0.model
 from ml0 import (
@@ -550,3 +555,25 @@ class TestBench:
     def test_unknown_schedule_exit_one(self, toy_dataset, capsys):
         rc = main(["bench", str(toy_dataset), "--schedules", "sgd"])
         assert rc == 1
+
+
+class TestModuleEntryPoint:
+    """`python -m ml0` with the package on PYTHONPATH and nothing installed."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(ml0.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "ml0", *args], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"ml0 {ml0.__version__}"
+
+    def test_eval_prints_what_main_prints(self, toy_dataset, trained, capsys):
+        proc = self.run_module("eval", str(trained), str(toy_dataset))
+        assert proc.returncode == 0, proc.stderr
+        assert main(["eval", str(trained), str(toy_dataset)]) == 0
+        assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)

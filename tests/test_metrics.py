@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,27 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="at least one sample"):
             metric([], [])
 
+    @pytest.mark.parametrize("metric", [accuracy, auc])
+    @pytest.mark.parametrize("labels, found", [
+        ([1, 0, 1, 0], "[0.0]"),
+        ([1, -1, 2, -2], "[-2.0, 2.0]"),
+        ([1.0, -1.0, np.nan, 1.0], "[nan]"),
+        ([0.5, -1.0, 1.0, 1.0], "[0.5]"),
+    ])
+    def test_labels_outside_plus_minus_one_rejected(self, metric, labels, found):
+        with pytest.raises(ValueError, match=re.escape(f"labels must be -1 or +1, found {found}")):
+            metric([1.0, -1.0, 2.0, -2.0], labels)
+
+    @pytest.mark.parametrize("metric", [accuracy, auc])
+    def test_nan_margins_rejected(self, metric):
+        with pytest.raises(ValueError, match="margins must not be NaN, found 2 NaN of 4"):
+            metric([np.nan, 1.0, -np.nan, -1.0], [1.0, -1.0, 1.0, -1.0])
+
+    def test_infinite_margins_accepted(self):
+        m, y = [np.inf, -np.inf, np.inf, 0.0], [1.0, -1.0, 1.0, -1.0]
+        assert accuracy(m, y) == 0.75
+        assert auc(m, y) == 1.0
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -106,6 +129,9 @@ class TestAuc:
                 draws.append(rng.integers(0, k, n).astype(np.float64))
         draws.append(np.full(500, -0.75))
         draws.append(rng.choice([0.0, -0.0, 1.0], 300))
+        draws.append(rng.choice([-np.inf, np.inf, 0.0, -0.0, 1.5], 3000))
+        draws.append(np.array([0.0, -0.0, np.inf, -0.0, -np.inf, 0.0, np.inf, -np.inf, -0.0]))
+        draws.append(np.where(rng.random(20000) < 0.5, 0.0, -0.0))
         draws.append(rng.standard_normal(20000))
         draws.append(np.round(rng.standard_normal(20000), 2))
         for m in draws:

@@ -299,6 +299,17 @@ class TestDlossDmargin:
         for m in (np.array(edges + [-v for v in edges]), scaled):
             assert _dloss_dmargin(m).tobytes() == masked_dloss_dmargin(m).tobytes()
 
+    def test_bitwise_equal_to_two_denominator_form(self):
+        """One `1.0 + e` for both branches gives the bits of the form that
+        computed it once per branch."""
+        edges = [0.0, 1e-300, 36.0, 745.0, 1e308]
+        rng = np.random.default_rng(8)
+        scaled = rng.standard_normal(10**5) * 10.0 ** rng.integers(-6, 4, size=10**5)
+        for m in (np.array(edges + [-v for v in edges]), scaled):
+            e = np.exp(-np.abs(m))
+            want = np.where(m >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
+            assert _dloss_dmargin(m).tobytes() == want.tobytes()
+
     def test_nan_positions_match(self):
         m = np.array([np.nan, 1.0, -np.nan, -2.0, 0.0, np.nan])
         got, want = _dloss_dmargin(m), masked_dloss_dmargin(m)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,50 @@ class TestContractFull:
         t = DenseTensor(np.ones((2, 3)))
         with pytest.raises(ValueError, match="do not match sample dims"):
             contract_full(t, [np.ones(s) for s in shapes])
+
+    @pytest.mark.parametrize("dims, blocks, shapes", [
+        ((2, 3), [], "[]"),
+        ((2, 3), [np.ones(2)], "[(2,)]"),
+        ((2, 3), [np.ones(2), np.ones(3), np.ones(1)], "[(2,), (3,), (1,)]"),
+        ((2, 3), [np.ones(2), np.ones((3, 1))], "[(2,), (3, 1)]"),
+        ((2, 3), [np.ones((1, 2)), np.ones(3)], "[(1, 2), (3,)]"),
+        ((2, 3), [[1.0, 2.0], [1.0, 2.0]], "[(2,), (2,)]"),
+        ((2, 3), [[1, 2], 3], "[(2,), (1,)]"),
+        ((4,), [np.ones(3)], "[(3,)]"),
+        ((4,), [np.ones(4), np.ones(1)], "[(4,), (1,)]"),
+        ((2, 3, 4), [np.ones(2), np.ones(4), np.ones(3)], "[(2,), (4,), (3,)]"),
+        ((2, 3, 4), [np.ones(2), [0, 1, 2], np.ones(5, dtype=np.float32)], "[(2,), (3,), (5,)]"),
+    ])
+    def test_mismatch_names_every_block_shape_and_the_dims(self, dims, blocks, shapes):
+        t = DenseTensor(np.ones(dims))
+        want = f"block shapes {shapes} do not match sample dims {dims}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            contract_full(t, blocks)
+
+    def test_any_block_form_has_the_bits_of_float64_vectors(self):
+        """Lists, ints, float32, other byte orders and strided views are
+        converted as `np.ascontiguousarray` converts them."""
+        rng = np.random.default_rng(23)
+        for dims in [(5,), (1,), (3, 4), (2, 1, 3), (2, 3, 4)]:
+            t = DenseTensor(rng.standard_normal(dims))
+            ints = [rng.integers(-3, 4, d) for d in dims]
+            floats = [rng.standard_normal(d) for d in dims]
+            forms = [
+                [b.tolist() for b in ints],
+                ints,
+                [b.astype(np.int8) for b in ints],
+                [b.tolist() for b in floats],
+                [b.astype(np.float32) for b in floats],
+                [b.astype(">f8") for b in floats],
+                [np.repeat(b, 2)[::2] for b in floats],
+                tuple(floats),
+            ]
+            if dims == (1,):
+                forms.append([int(ints[0][0])])
+            for blocks in forms:
+                vectors = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+                want = float(contract_down(t.array[None], vectors).reshape(()))
+                assert contract_full(t, blocks).hex() == want.hex()
 
     def test_order_independence(self):
         rng = np.random.default_rng(11)
