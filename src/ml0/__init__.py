@@ -8,13 +8,11 @@ projection onto the l0 ball. See README.md for the CLI and file formats.
 from .data import (
     Dataset,
     DatasetStream,
-    FeatureScaler,
     FormatError,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
     load_params,
-    normalize_per_feature,
     save_dataset,
     save_params,
     split,
@@ -52,7 +50,6 @@ __all__ = [
     "Dataset",
     "DatasetStream",
     "DenseTensor",
-    "FeatureScaler",
     "FormatError",
     "IterTrace",
     "ModelParams",
@@ -73,7 +70,6 @@ __all__ = [
     "load_params",
     "margins",
     "nesterov_beta",
-    "normalize_per_feature",
     "objective",
     "predict",
     "project_l0",

@@ -1,4 +1,4 @@
-"""Datasets: synthetic generation, normalization, splitting, and binary persistence."""
+"""Datasets: synthetic generation, splitting, and binary persistence."""
 
 import math
 import mmap
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _exclusive, _frozen
+from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _check_labels, _exclusive, _frozen
 
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
@@ -30,7 +30,8 @@ class Dataset:
     Samples come as one (n, d_1, ..., d_p) array. Samples and labels are
     kept read-only as `DenseTensor` keeps its array: an array that owns its
     memory is marked read-only, one that a writable array can still reach
-    is copied. Labels given as {0, 1} are mapped to {-1, +1} on ingestion.
+    is copied. Labels other than -1 and +1 raise ValueError, as they do in
+    the dataset file and the metrics.
     """
 
     __slots__ = ("_X", "_y")
@@ -43,11 +44,7 @@ class Dataset:
         y = _exclusive(y if y.ndim == 1 else y.reshape(-1))
         if X.ndim and y.size != X.shape[0]:
             raise ValueError(f"{X.shape[0]} samples but {y.size} labels")
-        values = set(np.unique(y).tolist())
-        if values <= {0.0, 1.0}:
-            y = np.where(y == 0.0, -1.0, 1.0)
-        elif not values <= {-1.0, 1.0}:
-            raise ValueError(f"labels must be in {{-1,+1}} or {{0,1}}, got {sorted(values)}")
+        _check_labels(y)
         (X,) = _frozen((X,), 2)
         y.setflags(write=False)
         self._X, self._y = X, y
@@ -185,35 +182,6 @@ def _permute_rows(X, order):
         cols[...] = gathered
 
 
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Per-coordinate affine map fitted on one dataset, reusable on held-out data."""
-
-    center: np.ndarray
-    halfrange: np.ndarray
-
-    def apply(self, ds: Dataset) -> Dataset:
-        if ds.feature_dims != self.center.shape:
-            raise ValueError(
-                f"scaler fitted on dims {self.center.shape}, dataset has {ds.feature_dims}"
-            )
-        # Scaled in place in one buffer, so the peak is one copy of X.
-        positive = self.halfrange > 0.0
-        out = ds.X - self.center
-        out /= np.where(positive, self.halfrange, 1.0)
-        out[:, ~positive] = 0.0
-        return Dataset(out, ds.y)
-
-
-def normalize_per_feature(ds: Dataset):
-    """Affinely map each coordinate so its min over samples hits -1 and its
-    max hits +1; constant coordinates map to 0. Returns (dataset, scaler)."""
-    lo = ds.X.min(axis=0)
-    hi = ds.X.max(axis=0)
-    scaler = FeatureScaler(center=(hi + lo) / 2.0, halfrange=(hi - lo) / 2.0)
-    return scaler.apply(ds), scaler
-
-
 def split(ds: Dataset, train_fraction: float, seed: int):
     """Stratified seeded train/test split with class proportions kept up to rounding."""
     if not 0.0 < train_fraction < 1.0:
@@ -342,15 +310,17 @@ def save_dataset(ds: Dataset, path):
 
 def _read_dataset_head(reader):
     """Parse a dataset file's header and labels; returns (dims, labels) with
-    the labels as an int8 array of -1 and +1. The reader is left at the
+    the labels as a float64 array of -1.0 and +1.0. The reader is left at the
     first byte of the sample data."""
     dims = _read_header(reader, DATASET_MAGIC)
     (n,) = reader.unpack("<Q", "sample count")
     if n < 1:
         raise FormatError(f"{reader.path}: sample count must be >= 1", reader.off - 8)
-    labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1")
-    if not set(np.unique(labels).tolist()) <= {-1, 1}:
-        raise FormatError(f"{reader.path}: labels must be -1 or +1", reader.off - n)
+    labels = np.frombuffer(reader.take(n, "labels"), dtype="<i1").astype(np.float64)
+    try:
+        _check_labels(labels)
+    except ValueError as e:
+        raise FormatError(f"{reader.path}: {e}", reader.off - n) from None
     return dims, labels
 
 
@@ -365,7 +335,7 @@ def load_dataset(path) -> Dataset:
         dims, labels = _read_dataset_head(reader)
         X = reader.array((labels.size,) + dims, "sample data")
         reader.done()
-    return Dataset(X, labels.astype(np.float64))
+    return Dataset(X, labels)
 
 
 class DatasetStream:
@@ -390,7 +360,7 @@ class DatasetStream:
             self._fh.close()
             raise
         self.n = labels.size
-        self.y = labels.astype(np.float64)
+        self.y = labels
         self._read = False
 
     def __enter__(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .tensor import _check_labels
+
 
 def _as_arrays(margins, labels):
     m = np.asarray(margins, dtype=np.float64).reshape(-1)
@@ -10,10 +12,7 @@ def _as_arrays(margins, labels):
         raise ValueError(f"{m.size} margins but {y.size} labels")
     if m.size < 1:
         raise ValueError("need at least one sample")
-    # Elementwise, O(n): no sort on the path of a valid call.
-    if not (np.abs(y) == 1.0).all():
-        found = np.unique(y[np.abs(y) != 1.0]).tolist()
-        raise ValueError(f"labels must be -1 or +1, found {found}")
+    _check_labels(y)
     if np.isnan(m).any():
         nans = np.count_nonzero(np.isnan(m))
         raise ValueError(f"margins must not be NaN, found {nans} NaN of {m.size}")

@@ -120,7 +120,7 @@ def ridge_term(blocks, ridge):
 
 
 def predict(params: ModelParams, x: DenseTensor) -> float:
-    """Margin for a single sample: multilinear form plus bias."""
+    """Margin for a single sample, a `DenseTensor`: multilinear form plus bias."""
     return contract_full(x, params.blocks) + params.bias
 
 

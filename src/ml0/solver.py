@@ -49,7 +49,7 @@ from .prox import prox_block_step
 SCHEDULES = ("adaptive", "nesterov", "none")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Solver hyperparameters. Defaults follow the reference setup:
     t=1.3, beta1=0.6, beta_max=0.9999, tolerances 1e-5 / 1e-4. The
@@ -140,6 +140,8 @@ def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
 def random_init(dims, sparsity, seed, bias=0.0):
     """Sparse Gaussian starting point: s_i uniformly chosen support positions
     per block filled with standard normal draws, the rest zero. PCG64 stream."""
+    if len(dims) != len(sparsity):
+        raise ValueError(f"{len(dims)} block lengths but {len(sparsity)} sparsity caps")
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for d, s in zip(dims, sparsity):

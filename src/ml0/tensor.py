@@ -1,5 +1,5 @@
-"""Dense single-sample tensors, the check every sample array and weight block
-passes, and the full multilinear form that scores one sample."""
+"""Dense single-sample tensors, the checks every sample array, weight block
+and label array passes, and the full multilinear form that scores one sample."""
 
 import numpy as np
 
@@ -27,6 +27,17 @@ def _check_finite(a):
     for start in range(0, flat.size, _FINITE_BLOCK):
         if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
             raise ValueError("entries must be finite")
+
+
+def _check_labels(y):
+    """Raise unless every entry of `y` is -1 or +1, in any numeric dtype.
+    Elementwise, O(n): the distinct bad values are sorted only on failure,
+    and at most 5 are named."""
+    ok = (y == 1) | (y == -1)
+    if not ok.all():
+        bad = np.unique(y[~ok]).tolist()
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise ValueError(f"labels must be -1 or +1, found {bad[:5]}{more}")
 
 
 def _frozen(arrays, min_ndim):
@@ -94,8 +105,13 @@ def contract_full(t, blocks):
 
     A block that is already a C-contiguous float64 ndarray is used as it is;
     any other (a list, ints) is converted first, as `np.ascontiguousarray`
-    converts it."""
-    out = t.array
+    converts it. A sample that is not a DenseTensor raises TypeError."""
+    try:
+        out = t.array
+    except AttributeError:
+        raise TypeError(
+            f"a sample must be a DenseTensor, got {type(t).__name__}: wrap an array"
+            " as ml0.DenseTensor(x), or take ds.sample(i) from a Dataset") from None
     dims = out.shape
     if len(blocks) != len(dims):
         raise _shape_mismatch(blocks, dims)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,11 +19,12 @@ from ml0 import (
     FormatError,
     ModelParams,
     SyntheticConfig,
+    accuracy,
+    auc,
     generate_synthetic,
     load_dataset,
     load_params,
     margins,
-    normalize_per_feature,
     save_dataset,
     save_params,
     split,
@@ -71,9 +73,9 @@ def corner_scores(ds, v1, v2):
 
 
 class TestDataset:
-    def test_zero_one_labels_mapped(self):
-        ds = Dataset(np.zeros((2, 3)), [0.0, 1.0])
-        np.testing.assert_array_equal(ds.y, [-1.0, 1.0])
+    def test_zero_one_labels_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("labels must be -1 or +1, found [0.0]")):
+            Dataset(np.zeros((2, 3)), [0.0, 1.0])
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
@@ -292,63 +294,45 @@ class TestPermuteRows:
         assert peak <= 1.1 * chunk < band, f"peak {peak} B is {peak / chunk:.2f} chunks"
 
 
-class TestNormalize:
-    def test_two_point_feature_hits_endpoints(self):
-        X = np.array([[[2.0]], [[4.0]]])
-        ds = Dataset(X, [1.0, -1.0])
-        out, _ = normalize_per_feature(ds)
-        np.testing.assert_array_equal(out.X.reshape(-1), [-1.0, 1.0])
+class TestOneLabelRule:
+    """Every way in, in memory or from a file, takes labels -1 and +1 only
+    and names what it found in the same words."""
 
-    def test_constant_feature_maps_to_zero(self):
-        X = np.array([[[5.0, 1.0]], [[5.0, 3.0]]])
-        ds = Dataset(X, [1.0, -1.0])
-        out, _ = normalize_per_feature(ds)
-        np.testing.assert_array_equal(out.X[:, 0, 0], [0.0, 0.0])
+    # (labels, the values the message names); a file holds int8 labels, so no NaN.
+    BAD = [([1, 0, 1, 0], "[0.0]"), ([1, -1, 2, -1], "[2.0]"),
+           ([1, -1, 3, 3], "[3.0]"), ([1, -1, -128, 1], "[-128.0]")]
+    IN_MEMORY = {
+        "Dataset": lambda y: Dataset(np.ones((len(y), 2)), y),
+        "accuracy": lambda y: accuracy(np.ones(len(y)), y),
+        "auc": lambda y: auc(np.ones(len(y)), y),
+    }
+    FROM_FILE = {"load_dataset": load_dataset, "DatasetStream": DatasetStream}
 
-    def test_already_normalized_unchanged(self):
-        X = np.array([[-1.0, 0.3], [1.0, -1.0], [0.0, 1.0]])
-        ds = Dataset(X, [1.0, -1.0, 1.0])
-        out, _ = normalize_per_feature(ds)
-        np.testing.assert_allclose(out.X, X, atol=1e-15)
+    @pytest.mark.parametrize("labels, found", BAD + [([1.0, -1.0, np.nan, 1.0], "[nan]")])
+    @pytest.mark.parametrize("entry", IN_MEMORY)
+    def test_in_memory(self, entry, labels, found):
+        with pytest.raises(ValueError, match=re.escape(f"labels must be -1 or +1, found {found}")):
+            self.IN_MEMORY[entry](labels)
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(4)
-        ds = Dataset(rng.standard_normal((10, 3, 2)), rng.choice([-1.0, 1.0], 10))
-        once, _ = normalize_per_feature(ds)
-        twice, _ = normalize_per_feature(once)
-        np.testing.assert_allclose(twice.X, once.X, atol=1e-12)
+    @pytest.mark.parametrize("labels, found", BAD)
+    @pytest.mark.parametrize("entry", FROM_FILE)
+    def test_from_file_at_the_offset_of_the_labels(self, tmp_path, entry, labels, found):
+        path = tmp_path / "t.ml0t"
+        path.write_bytes(packed_dataset(np.ones((len(labels), 3, 2)), labels))
+        with pytest.raises(FormatError) as err:
+            self.FROM_FILE[entry](path)
+        # magic 0-3, version 4-7, dim count 8-11, dims 12-27, sample count 28-35
+        assert str(err.value) == f"{path}: labels must be -1 or +1, found {found} (byte offset 36)"
+        assert err.value.offset == 36
 
-    def test_scaler_applies_to_held_out(self):
-        rng = np.random.default_rng(5)
-        ds = Dataset(rng.standard_normal((10, 4)), rng.choice([-1.0, 1.0], 10))
-        held = Dataset(rng.standard_normal((3, 4)), [1.0, -1.0, 1.0])
-        _, scaler = normalize_per_feature(ds)
-        out = scaler.apply(held)
-        np.testing.assert_allclose(
-            out.X, (held.X - scaler.center) / scaler.halfrange, rtol=1e-14
-        )
-
-    def test_scaling_is_bitwise_the_where_form_at_one_copy_of_x(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((2000, 30, 30))
-        X[:, 3, 4] = 2.5  # a constant coordinate maps to 0
-        X[:, 0, 0] = -0.0
-        ds = Dataset(X, rng.choice([-1.0, 1.0], X.shape[0]))
-        normalize_per_feature(Dataset(X[:2], ds.y[:2]))  # keeps first-call costs out of the peak
-        peak, (out, scaler) = traced_peak(normalize_per_feature, ds)
-        positive = scaler.halfrange > 0.0
-        assert not positive[3, 4] and not positive[0, 0]
-        safe = np.where(positive, scaler.halfrange, 1.0)
-        want = np.where(positive, (ds.X - scaler.center) / safe, 0.0)
-        assert out.X.tobytes() == want.tobytes()
-        size = ds.X.nbytes
-        assert peak <= 1.15 * size, f"peak {peak} B is {peak / size:.2f}x X"
-
-    def test_scaler_rejects_other_dims(self):
-        rng = np.random.default_rng(6)
-        _, scaler = normalize_per_feature(Dataset(rng.standard_normal((4, 2, 3)), [1, -1] * 2))
-        with pytest.raises(ValueError, match="scaler fitted on dims"):
-            scaler.apply(Dataset(rng.standard_normal((4, 3, 2)), [1, -1] * 2))
+    def test_swapped_metric_arguments_name_at_most_five_values(self):
+        rng = np.random.default_rng(0)
+        m, y = rng.standard_normal(20000), rng.choice([-1.0, 1.0], 20000)
+        with pytest.raises(ValueError) as err:
+            auc(y, m)
+        msg = str(err.value)
+        named = re.fullmatch(r"labels must be -1 or \+1, found \[(.*)\] and 19995 more", msg)
+        assert named and len(named[1].split(", ")) == 5 and len(msg) < 200, msg
 
 
 class TestSplit:

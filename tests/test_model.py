@@ -175,6 +175,13 @@ class TestPredict:
         for i in range(n):
             assert predict(params, data.sample(i)) == m[i]
 
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["ndarray", "nested-list"])
+    def test_a_raw_sample_is_refused_with_the_way_to_wrap_it(self, x):
+        params = ModelParams(blocks=(np.ones(2), np.ones(2)), bias=0.0)
+        with pytest.raises(TypeError, match=r"got (ndarray|list): .*ml0\.DenseTensor\(x\).*ds\.sample\(i\)"):
+            predict(params, x)
+
 
 class TestSmoothLoss:
     def test_zero_params_give_n_log2(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,13 @@ class TestRandomInit:
         with pytest.raises(ValueError):
             random_init((3,), (4,), seed=0)
 
+    @pytest.mark.parametrize("dims, sparsity", [((30, 30), (9,)), ((30,), (9, 9))])
+    def test_one_cap_per_block(self, dims, sparsity):
+        """`zip` used to drop the unmatched blocks or caps and return a
+        one-block model."""
+        with pytest.raises(ValueError, match=f"^{len(dims)} block lengths but {len(sparsity)} sparsity caps$"):
+            random_init(dims, sparsity, seed=0)
+
 
 class TestRunBasics:
     def test_single_step_matches_hand_rolled_prox_gradient(self):
@@ -194,6 +202,18 @@ class TestRunBasics:
             SolverConfig(seed=0)
         with pytest.raises(TypeError):  # gamma belongs to the problem
             SolverConfig(gamma=1.5)
+
+    @pytest.mark.parametrize("settings, name", [
+        (SolverConfig(), "schedule"),
+        (Problem(ridge=(0.0,), sparsity=(1,)), "gamma"),
+        (SyntheticConfig(), "seed"),
+    ], ids=["SolverConfig", "Problem", "SyntheticConfig"])
+    def test_settings_are_frozen_after_their_checks(self, settings, name):
+        """An assignment would skip `__post_init__`: `schedule = "bogus"`
+        used to run plain BPGD without a word."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings, name, "bogus")
+        assert dataclasses.replace(settings) == settings
 
     @pytest.mark.parametrize("field, value, match", [
         ("beta_max", 1.0, "beta_max"),
