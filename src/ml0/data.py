@@ -6,9 +6,11 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .kernels import _ranges, _run_split
 from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _check_labels, _exclusive, _frozen
 
 DATASET_MAGIC = b"ML0T"
@@ -80,9 +82,12 @@ class Dataset:
         """Sample i as a DenseTensor viewing X, without a copy or a second check."""
         return DenseTensor._checked(self._X[operator.index(i)])
 
-    def chunks(self):
-        """All samples as one chunk, (0, X), as `DatasetStream.chunks` yields them."""
-        yield 0, self._X
+    def ranges(self):
+        """One iterator per range of `kernels._ranges`, each yielding its
+        samples as one chunk (lo, X[lo:hi]), as `DatasetStream.ranges` yields
+        its chunks."""
+        bounds = _ranges(self.n, self._X[0].size)
+        return [iter([(lo, self._X[lo:hi])]) for lo, hi in zip(bounds, bounds[1:])]
 
     def subset(self, indices):
         """The samples a 1-D selection picks, one or more, without a second check."""
@@ -117,8 +122,8 @@ class SyntheticConfig:
             raise ValueError("dimensions must be positive")
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
 
 
 def generate_synthetic(cfg: SyntheticConfig):
@@ -220,12 +225,15 @@ class _Reader:
     Every read is checked against the file size taken once from `fstat`, so a
     header that declares more data than the file holds fails before anything
     of that size is allocated. A truncation reports the file size as its
-    offset.
+    offset. `ident` (device, inode, size) tells whether a second handle
+    opened from `path` reads the same file.
     """
 
     def __init__(self, fh, path):
+        st = os.fstat(fh.fileno())
         self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+        self.size = st.st_size
+        self.ident = (st.st_dev, st.st_ino, st.st_size)
         self.off = 0
         self.path = path
 
@@ -324,18 +332,68 @@ def _read_dataset_head(reader):
     return dims, labels
 
 
+def _sample_ranges(reader, dims, bounds, X=None):
+    """One iterator per range of the sample `bounds` over the sample data,
+    which starts at `reader.off` and which `reader._need` has checked.
+
+    The first range reads through `reader`, each other through a handle of
+    its own, opened from the same path and checked to be the same file. A
+    range reads chunks of `max(1, _FINITE_BLOCK // prod(dims))` samples into
+    its rows of X when X is given, else into one buffer of its own, checks
+    each for finiteness and yields (index of its first sample, chunk). The
+    range that ends the samples checks that the file ends there too. The
+    iterators share nothing, so each may run on a thread of its own.
+    """
+    size = math.prod(dims)
+    per = max(1, _FINITE_BLOCK // size)
+    start = reader.off
+
+    def read(r, lo, hi):
+        buf = None if X is not None else np.empty((min(per, hi - lo),) + dims, dtype="<f8")
+        for at in range(lo, hi, per):
+            k = min(per, hi - at)
+            chunk = X[at : at + k] if buf is None else buf[:k]
+            r._fill(memoryview(chunk).cast("B"), "sample data")
+            _check_finite(chunk)
+            yield at, chunk
+        if hi == bounds[-1]:
+            r.done()
+
+    def reopened(lo, hi):
+        off = start + 8 * size * lo
+        with open(reader.path, "rb") as fh:
+            r = _Reader(fh, reader.path)
+            if r.ident != reader.ident:
+                raise FormatError(f"{reader.path}: file changed while reading sample data", off)
+            fh.seek(off)
+            r.off = off
+            yield from read(r, lo, hi)
+
+    pairs = list(zip(bounds, bounds[1:]))
+    return [read(reader, *pairs[0])] + [reopened(lo, hi) for lo, hi in pairs[1:]]
+
+
+def _drain(chunks):
+    for _ in chunks:
+        pass
+
+
 def load_dataset(path) -> Dataset:
     """Read the binary dataset format; raises FormatError with a byte offset.
 
     The sample data is read once, straight from the file into the array the
-    returned Dataset holds.
+    returned Dataset holds, in the ranges of `kernels._ranges`, one thread
+    each; each chunk is checked for finiteness as it lands. The first fault
+    in file order is raised.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh, str(path))
+        reader = _Reader(fh, path)
         dims, labels = _read_dataset_head(reader)
-        X = reader.array((labels.size,) + dims, "sample data")
-        reader.done()
-    return Dataset(X, labels)
+        n, size = labels.size, math.prod(dims)
+        reader._need(8 * n * size, "sample data")
+        X = np.empty((n,) + dims, dtype="<f8")
+        _run_split([partial(_drain, r) for r in _sample_ranges(reader, dims, _ranges(n, size), X)])
+    return Dataset._checked(X, labels)
 
 
 class DatasetStream:
@@ -343,18 +401,21 @@ class DatasetStream:
     closes it.
 
     Opening reads the header and the labels (`feature_dims`, `n`, `y`).
-    `chunks()` then reads the sample data into one reused buffer of
+    `ranges()` then gives one iterator per range of `kernels._ranges`, each
+    with a reader of its own and one buffer per range of
     `max(1, _FINITE_BLOCK // prod(dims))` samples (512 KiB, so a chunk fits
-    in L2), checks each chunk for finiteness and yields (index of its first
-    sample, chunk); a chunk is valid until the next is read. Every fault
-    raises `load_dataset`'s message for the file, in file order. A second
-    pass raises ValueError: open the file again instead.
+    in L2). A range reads its samples into its buffer chunk by chunk, checks
+    each chunk for finiteness and yields (index of its first sample, chunk);
+    a chunk is valid until the range's next is read. The ranges may run on
+    threads of their own. `chunks()` is the one range of all samples. Every
+    fault raises `load_dataset`'s message for the file. A second pass raises
+    ValueError: open the file again instead.
     """
 
     def __init__(self, path):
         self._fh = open(path, "rb")
         try:
-            self._reader = _Reader(self._fh, str(path))
+            self._reader = _Reader(self._fh, path)
             self.feature_dims, labels = _read_dataset_head(self._reader)
         except BaseException:
             self._fh.close()
@@ -369,21 +430,19 @@ class DatasetStream:
     def __exit__(self, *exc):
         self._fh.close()
 
+    def ranges(self):
+        return self._pass(_ranges(self.n, math.prod(self.feature_dims)))
+
     def chunks(self):
-        reader, dims, n = self._reader, self.feature_dims, self.n
+        return self._pass([0, self.n])[0]
+
+    def _pass(self, bounds):
+        reader = self._reader
         if self._read:
             raise ValueError(f"{reader.path}: stream was already read; it gives one pass")
         self._read = True
-        size = math.prod(dims)
-        reader._need(8 * n * size, "sample data")
-        per = max(1, _FINITE_BLOCK // size)
-        buf = np.empty((min(per, n),) + dims, dtype="<f8")
-        for lo in range(0, n, per):
-            chunk = buf[: min(per, n - lo)]
-            reader._fill(memoryview(chunk).cast("B"), "sample data")
-            _check_finite(chunk)
-            yield lo, chunk
-        reader.done()
+        reader._need(8 * self.n * math.prod(self.feature_dims), "sample data")
+        return _sample_ranges(reader, self.feature_dims, bounds)
 
 
 def save_params(params, path):
@@ -400,7 +459,7 @@ def load_params(path):
     from .model import ModelParams
 
     with open(path, "rb") as fh:
-        reader = _Reader(fh, str(path))
+        reader = _Reader(fh, path)
         dims = _read_header(reader, PARAMS_MAGIC)
         blocks = [reader.array((d,), f"block {i}") for i, d in enumerate(dims)]
         (bias,) = reader.unpack("<d", "bias")

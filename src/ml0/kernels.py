@@ -26,18 +26,26 @@ nothing but numpy.
 
 `contract_samples` is that last-axis path at any size, so a sample's result
 has the same bits whichever samples share the call; the model's margins
-use it.
+use it. `_stacked` is the same product into a given output, never split: the
+model's margins split their pass into ranges (`_ranges`), one thread each,
+and a range contracts its chunks with it, so no thread starts another.
 """
 
 import math
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
 # Below this many elements per sample a pass over X is too short for the
 # split to pay for its threads (see the timings in README "Performance").
 _SPLIT_MIN_SAMPLE = 1 << 14
+
+# Below this many elements in all, a pass that reads, checks and contracts
+# samples (`model.margins`, `data.load_dataset`) runs as one range on the
+# calling thread (see the timings in README "Performance").
+_SPLIT_MIN_PASS = 1 << 21
 
 
 def _usable_cores():
@@ -54,23 +62,31 @@ def _slabs(n):
     return [n * i // slabs for i in range(slabs + 1)]
 
 
-def _run_split(products):
-    """Run each (a, b, out) as `np.matmul(a, b, out=out)`: the first on this
-    thread, the rest on one short-lived thread each (none for one product).
-    Re-raises the first error in slab order after every thread has finished."""
-    errors = [None] * len(products)
+def _ranges(n, size):
+    """Sample bounds of the ranges of a pass that reads, checks and contracts
+    n samples of `size` elements each: one range below `_SPLIT_MIN_PASS`
+    elements in all, `_slabs(n)` from there on."""
+    return _slabs(n) if n * size >= _SPLIT_MIN_PASS else [0, n]
+
+
+def _run_split(tasks):
+    """Call each task: the first on this thread, the rest on one short-lived
+    thread each (none for one task). Re-raises the first error in task order
+    after every thread that started has finished."""
+    errors = [None] * len(tasks)
 
     def work(i):
-        a, b, out = products[i]
         try:
-            np.matmul(a, b, out=out)
+            tasks[i]()
         except Exception as exc:  # handed back to the calling thread below
             errors[i] = exc
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(products))]
-    for t in threads:
-        t.start()
+    threads = []
     try:
+        for i in range(1, len(tasks)):
+            t = threading.Thread(target=work, args=(i,))
+            t.start()
+            threads.append(t)
         work(0)
     finally:
         for t in threads:
@@ -98,7 +114,8 @@ def contract_mode(arr, v, axis):
     bounds = _slabs(shape[0])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
     inner = math.prod(shape[axis + 1 :])
-    _run_split([(v, arr[lo:hi].reshape(-1, d, inner), out[lo:hi].reshape(-1, inner))
+    _run_split([partial(np.matmul, v, arr[lo:hi].reshape(-1, d, inner),
+                        out=out[lo:hi].reshape(-1, inner))
                 for lo, hi in zip(bounds, bounds[1:])])
     return out
 
@@ -108,14 +125,21 @@ def contract_samples(arr, v):
     product, so a sample's result does not depend on which other samples
     share the call. Split into slabs like `contract_mode` at or above the
     cutoff; returns an array of shape arr.shape[:-1]."""
-    n, d = arr.shape[0], arr.shape[-1]
-    if arr.size < _SPLIT_MIN_SAMPLE * n:
-        return (arr.reshape(n, -1, d) @ v).reshape(arr.shape[:-1])
-    bounds = _slabs(n)
+    n = arr.shape[0]
     out = np.empty(arr.shape[:-1], dtype=np.result_type(arr, v))
-    _run_split([(arr[lo:hi].reshape(hi - lo, -1, d), v, out[lo:hi].reshape(hi - lo, -1))
-                for lo, hi in zip(bounds, bounds[1:])])
+    if arr.size < _SPLIT_MIN_SAMPLE * n:
+        _stacked(arr, v, out)
+        return out
+    bounds = _slabs(n)
+    _run_split([partial(_stacked, arr[lo:hi], v, out[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     return out
+
+
+def _stacked(arr, v, out):
+    """`contract_samples` of arr into `out` on the calling thread, never split:
+    what a thread that already runs one part of a split calls."""
+    n, d = arr.shape[0], arr.shape[-1]
+    np.matmul(arr.reshape(n, -1, d), v, out=out.reshape(n, -1))
 
 
 def contract_down(arr, blocks, skip=None):

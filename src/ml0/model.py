@@ -10,10 +10,11 @@ the smooth loss, infeasible points score +inf.
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .kernels import contract_down, contract_samples
+from .kernels import _run_split, _stacked, contract_down, contract_samples
 from .tensor import DenseTensor, _frozen, contract_full
 
 SQRT2 = math.sqrt(2.0)
@@ -127,20 +128,29 @@ def predict(params: ModelParams, x: DenseTensor) -> float:
 def margins(params: ModelParams, data) -> np.ndarray:
     """Margins for every sample of a `Dataset` or of an open `DatasetStream`.
 
-    The block lengths are checked before any sample byte is read. Each chunk
-    of `data.chunks()` is contracted with the last block while in cache, the
-    partial that leaves then with the other blocks, each sample in its own
-    product (`contract_samples`): a sample's margin has the same bits
-    whichever other samples the data holds and however they are chunked.
+    The block lengths are checked before any sample byte is read.
+    `data.ranges()` cuts the samples into the ranges of `kernels._ranges`:
+    one per usable core from `kernels._SPLIT_MIN_PASS` elements in all, else
+    one. Each range runs on a thread of its own, the first on this one, and
+    reads and checks its chunks, contracting each with the last block while
+    in cache into its rows of the partial P; it calls only private helpers
+    and numpy. After every thread has joined, the first fault in file order
+    is raised, and P is contracted with the other blocks. Every sample gets
+    its own product, so its margin has the same bits however the samples
+    are chunked or cut into ranges.
     """
     _check_shapes(params.blocks, data)
     *rest, w = params.blocks
-    partial = np.empty((data.n,) + data.feature_dims[:-1])
-    for lo, chunk in data.chunks():
-        partial[lo : lo + len(chunk)] = contract_samples(chunk, w)
+    P = np.empty((data.n,) + data.feature_dims[:-1])
+
+    def contract(chunks):
+        for lo, chunk in chunks:
+            _stacked(chunk, w, P[lo : lo + len(chunk)])
+
+    _run_split([partial(contract, chunks) for chunks in data.ranges()])
     for v in reversed(rest):
-        partial = contract_samples(partial, v)
-    return partial + params.bias
+        P = contract_samples(P, v)
+    return P + params.bias
 
 
 def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:

@@ -77,6 +77,16 @@ class TestGen:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margin", ["inf", "-inf", "nan"])
+    def test_non_finite_margin_exit_one_naming_the_field(self, tmp_path, capsys, margin):
+        out = tmp_path / "x.ml0t"
+        rc = main(["gen", "--rows", "4", "--cols", "4", "--block", "2", "--per-class", "2",
+                   f"--margin={margin}", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: margin must be positive and finite, got {float(margin)}\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_and_config_echo(self, toy_dataset, tmp_path, capsys):
@@ -303,12 +313,12 @@ class TestEval:
         chunks smaller than X, and the objective equals the in-memory one."""
         ds = load_dataset(toy_dataset)
         chunks, mode_shapes = [], []
-        contract, contract_mode = ml0.model.contract_samples, kernels.contract_mode
+        contract, contract_mode = ml0.model._stacked, kernels.contract_mode
 
-        def recording(arr, v):
+        def recording(arr, v, out):
             if arr.shape[1:] == ds.feature_dims:
                 chunks.append(arr.copy())
-            return contract(arr, v)
+            return contract(arr, v, out)
 
         def recording_mode(arr, v, axis):
             mode_shapes.append(arr.shape)
@@ -316,7 +326,7 @@ class TestEval:
 
         # 7 samples of 8x6 per chunk: five full chunks and one of 5.
         monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 7 * 8 * 6)
-        monkeypatch.setattr(ml0.model, "contract_samples", recording)
+        monkeypatch.setattr(ml0.model, "_stacked", recording)
         monkeypatch.setattr(kernels, "contract_mode", recording_mode)
         rc = main(["eval", str(trained), str(toy_dataset)])
         monkeypatch.undo()

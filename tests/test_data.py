@@ -213,6 +213,8 @@ class TestGenerateSynthetic:
         ({"per_class": 0}, "per_class"),
         ({"margin": 0.0}, "margin"),
         ({"margin": -0.5}, "margin"),
+        ({"margin": float("inf")}, "margin must be positive and finite, got inf"),
+        ({"margin": float("nan")}, "margin must be positive and finite, got nan"),
     ])
     def test_invalid_config_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):

@@ -1,15 +1,24 @@
+import contextlib
+import inspect
+import io
 import math
+import os
+import struct
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ml0.cli
 import ml0.data
 import ml0.kernels
 from ml0 import (
     Dataset,
     DatasetStream,
     DenseTensor,
+    FormatError,
     ModelParams,
     Problem,
     SolverConfig,
@@ -26,6 +35,7 @@ from ml0 import (
     random_init,
     run,
     save_dataset,
+    save_params,
     smooth_loss,
 )
 from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch, objective_from_margins
@@ -539,6 +549,243 @@ class TestStreamedMargins:
         path, params = self.saved(tmp_path, np.random.default_rng(43), 4, (3, 2))
         other = ModelParams(blocks=(np.ones(2), np.ones(3)), bias=0.0)
         with DatasetStream(path) as stream:
-            monkeypatch.setattr(stream, "chunks", lambda: pytest.fail("read samples"))
+            monkeypatch.setattr(stream, "ranges", lambda: pytest.fail("read samples"))
             with pytest.raises(ValueError, match="do not match sample dims"):
                 margins(other, stream)
+
+
+class TestRangedPass:
+    """Above `kernels._SPLIT_MIN_PASS` elements, `margins` and `load_dataset`
+    cut the samples into one range per usable core, each read, checked and
+    contracted on a thread of its own. The tests patch the cutoff, the core
+    count and the chunk size low, so small files take that path."""
+
+    DIMS = (3, 2)  # 48 bytes a sample
+    # header: magic 4, version 4, dim count 4, dims 16, sample count 8
+    HEAD = 36
+
+    @pytest.fixture
+    def ranged(self, monkeypatch):
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1)
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", math.prod(self.DIMS))  # a sample a chunk
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every handle ml0.data opens; the first of each file can be wrapped."""
+        handles, wrap = [], {}
+        real_open = open
+
+        def recording(file, *args):
+            fh = real_open(file, *args)
+            handles.append(fh)
+            first = sum(1 for h in handles if h.name == fh.name) == 1
+            return wrap[str(file)](fh) if first and str(file) in wrap else fh
+
+        monkeypatch.setattr(ml0.data, "open", recording, raising=False)
+        return handles, wrap
+
+    def saved(self, tmp_path, X, name="t.ml0t"):
+        path = tmp_path / name
+        path.write_bytes(b"ML0T" + struct.pack("<II2Q", 1, 2, *self.DIMS)
+                         + struct.pack("<Q", len(X))
+                         + np.where(np.arange(len(X)) % 2, -1, 1).astype("<i1").tobytes()
+                         + X.astype("<f8").tobytes())
+        return path
+
+    def params(self, rng):
+        return ModelParams(blocks=tuple(rng.standard_normal(d) for d in self.DIMS), bias=0.5)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_stream_and_load_equal_one_range_bitwise(self, tmp_path, monkeypatch, cores, chunk):
+        """n = 4..13 never divides evenly by every range count and chunk."""
+        rng = np.random.default_rng(50)
+        params = self.params(rng)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", chunk * math.prod(self.DIMS))
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: cores)
+        for n in range(4, 14):
+            X = rng.standard_normal((n,) + self.DIMS)
+            path = self.saved(tmp_path, X)
+            monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 << 62)
+            with DatasetStream(path) as stream:
+                want = margins(params, stream)
+            monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1)
+            assert len(ml0.kernels._ranges(n, X[0].size)) - 1 == min(cores, n // 2)
+            ds = load_dataset(path)
+            assert ds.X.tobytes() == X.tobytes()
+            with DatasetStream(path) as stream:
+                assert margins(params, stream).tobytes() == want.tobytes()
+            assert margins(params, ds).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("read", ["stream", "load"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, ranged, opened, read):
+        """Range 1 reads short at sample 2 and ends after range 2 has met a
+        NaN at sample 6: range 1's error is raised, at the offset where its
+        read stopped, as one range raises it."""
+        rng = np.random.default_rng(51)
+        X = rng.standard_normal((9,) + self.DIMS)  # ranges [0, 4) and [4, 9)
+        X[6, 1, 0] = np.nan
+        path = self.saved(tmp_path, X)
+        start = self.HEAD + 9  # after the labels
+        _, wrap = opened
+
+        class ShortLate:
+            """Reads from sample 2 on stop halfway, after the other range has
+            had time to fail."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, buf):
+                view = memoryview(buf)
+                if self.fh.tell() < start + 2 * 48:
+                    return self.fh.readinto(view)
+                time.sleep(0.1)
+                return self.fh.readinto(view[: len(view) // 2])
+
+        wrap[str(path)] = ShortLate
+        want = FormatError(f"{path}: truncated while reading sample data", start + 2 * 48 + 24)
+        before = threading.active_count()
+        with pytest.raises(FormatError) as err:
+            if read == "load":
+                load_dataset(path)
+            else:
+                with DatasetStream(path) as stream:
+                    margins(self.params(rng), stream)
+        assert str(err.value) == str(want) and err.value.offset == want.offset
+        assert threading.active_count() == before
+
+    def test_a_later_range_raises_when_the_first_reads_clean(self, tmp_path, ranged):
+        rng = np.random.default_rng(52)
+        X = rng.standard_normal((9,) + self.DIMS)
+        X[6, 1, 0] = np.inf
+        path = self.saved(tmp_path, X)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            load_dataset(path)
+        with DatasetStream(path) as stream, pytest.raises(ValueError, match="entries must be finite"):
+            margins(self.params(rng), stream)
+
+    def test_trailing_bytes_are_checked_by_the_last_range(self, tmp_path, ranged):
+        rng = np.random.default_rng(53)
+        path = self.saved(tmp_path, rng.standard_normal((9,) + self.DIMS))
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            load_dataset(path)
+        assert err.value.offset == end
+        with DatasetStream(path) as stream, pytest.raises(FormatError, match="trailing") as err:
+            margins(self.params(rng), stream)
+        assert err.value.offset == end
+
+    def test_threads_and_handles_end_with_the_call(self, tmp_path, ranged, opened, monkeypatch):
+        """One thread and one handle per range beyond the first, all ended and
+        closed when the call returns or raises. No range splits its chunks
+        again, even with the per-sample split cutoff at 1: every thread is
+        started by the calling thread (the two beyond the ranges' come from
+        contracting the partial with the first block after the join)."""
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_SAMPLE", 1)
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 4 * math.prod(self.DIMS))
+        handles, _ = opened
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append((thread, threading.current_thread()))
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        rng = np.random.default_rng(54)
+        X = rng.standard_normal((24,) + self.DIMS)  # ranges of 8: two 4-sample chunks each
+        good = self.saved(tmp_path, X)
+        X[20, 0, 1] = np.nan
+        bad = self.saved(tmp_path, X, "bad.ml0t")
+        before = threading.active_count()
+        for path, fails in ((good, False), (bad, True)):
+            for read in ("stream", "load"):
+                del handles[:], started[:]
+                try:
+                    if read == "load":
+                        load_dataset(path)
+                    else:
+                        with DatasetStream(path) as stream:
+                            margins(self.params(rng), stream)
+                except ValueError:
+                    assert fails
+                else:
+                    assert not fails
+                assert len(started) == (4 if read == "stream" and not fails else 2)
+                assert all(by is threading.main_thread() for _, by in started)
+                assert len(handles) == 3 and all(fh.closed for fh in handles)
+                assert not any(t.is_alive() for t, _ in started)
+                assert threading.active_count() == before
+
+    def test_a_desk_size_eval_starts_no_thread(self, tmp_path, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 4)
+        rng = np.random.default_rng(55)
+        n, dims = 160, (30, 30)
+        assert n * math.prod(dims) < ml0.kernels._SPLIT_MIN_PASS
+        path = tmp_path / "desk.ml0t"
+        save_dataset(Dataset(rng.standard_normal((n,) + dims), np.where(np.arange(n) % 2, -1.0, 1.0)),
+                     path)
+        params = ModelParams(blocks=tuple(rng.standard_normal(d) for d in dims), bias=0.0)
+        with DatasetStream(path) as stream:
+            margins(params, stream)
+        margins(params, load_dataset(path))
+        assert started == []
+
+    def test_a_replaced_file_is_refused(self, tmp_path, ranged):
+        """A range opens its own handle by path; a file swapped in under the
+        path after the stream was opened is refused, not read."""
+        rng = np.random.default_rng(56)
+        X = rng.standard_normal((9,) + self.DIMS)
+        path = self.saved(tmp_path, X)
+        with DatasetStream(path) as stream:
+            other = self.saved(tmp_path, X, "other.ml0t")
+            os.replace(other, path)
+            with pytest.raises(FormatError, match="file changed while reading sample data") as err:
+                margins(self.params(rng), stream)
+        assert err.value.offset == self.HEAD + 9 + 4 * 48
+
+    def test_range_threads_call_no_public_function(self, tmp_path, ranged, monkeypatch):
+        """A range's thread calls only private helpers and numpy, so a
+        single-threaded wrapper around the public functions (such as a span
+        tracer) sees every call on the calling thread."""
+        layers = ("cli", "data", "model", "kernels", "tensor", "metrics")
+        modules = [ml0, *(getattr(ml0, name) for name in layers)]
+        threads, wrappers = [], {}
+        for mod in modules[1:]:
+            for attr, fn in vars(mod).items():
+                if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and attr[0] != "_":
+                    def wrapper(*args, _fn=fn, **kwargs):
+                        threads.append(threading.current_thread())
+                        return _fn(*args, **kwargs)
+                    wrappers[fn] = wrapper
+        for mod in modules:
+            for attr, fn in list(vars(mod).items()):
+                if inspect.isfunction(fn) and fn in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[fn])
+        rng = np.random.default_rng(58)
+        path = self.saved(tmp_path, rng.standard_normal((9,) + self.DIMS))
+        save_params(self.params(rng), tmp_path / "w.ml0w")
+        (tmp_path / "w.ml0w.json").write_text('{"lambda": [0.0, 0.0], "sparsity": [3, 2]}')
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ml0.cli.main(["eval", str(tmp_path / "w.ml0w"), str(path)]) == 0
+        load_dataset(path)
+        assert len(started) == 2 and len(threads) > 4
+        assert all(t is threading.main_thread() for t in threads)
