@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import _ranges, _run_split
+from .kernels import _drain, _ranges, _run_split
 from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _check_labels, _exclusive, _frozen
 
 DATASET_MAGIC = b"ML0T"
@@ -254,11 +254,17 @@ class _Reader:
         self._fill(buf, what)
         return bytes(buf)
 
-    def array(self, shape, what):
-        """Read a little-endian float64 array straight into its final buffer."""
-        self._need(8 * math.prod(shape), what)
-        arr = np.empty(shape, dtype="<f8")
+    def finite(self, size, what):
+        """Read `size` little-endian float64 entries straight into their final
+        buffer; raises at the offset of the first entry that is not finite."""
+        at = self.off
+        self._need(8 * size, what)
+        arr = np.empty(size, dtype="<f8")
         self._fill(memoryview(arr).cast("B"), what)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise FormatError(f"{self.path}: non-finite value {arr[bad[0]]} in {what}",
+                              at + 8 * int(bad[0]))
         return arr
 
     def unpack(self, fmt, what):
@@ -373,11 +379,6 @@ def _sample_ranges(reader, dims, bounds, X=None):
     return [read(reader, *pairs[0])] + [reopened(lo, hi) for lo, hi in pairs[1:]]
 
 
-def _drain(chunks):
-    for _ in chunks:
-        pass
-
-
 def load_dataset(path) -> Dataset:
     """Read the binary dataset format; raises FormatError with a byte offset.
 
@@ -455,13 +456,15 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read a weights file written by save_params."""
+    """Read a weights file written by save_params; raises FormatError with a
+    byte offset, also at the first entry of a block or the bias that is not
+    finite."""
     from .model import ModelParams
 
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         dims = _read_header(reader, PARAMS_MAGIC)
-        blocks = [reader.array((d,), f"block {i}") for i, d in enumerate(dims)]
-        (bias,) = reader.unpack("<d", "bias")
+        blocks = [reader.finite(d, f"block {i}") for i, d in enumerate(dims)]
+        (bias,) = reader.finite(1, "bias")
         reader.done()
     return ModelParams(blocks=tuple(blocks), bias=bias)

@@ -28,7 +28,11 @@ nothing but numpy.
 has the same bits whichever samples share the call; the model's margins
 use it. `_stacked` is the same product into a given output, never split: the
 model's margins split their pass into ranges (`_ranges`), one thread each,
-and a range contracts its chunks with it, so no thread starts another.
+and a range contracts its chunks with it, so no thread starts another. From
+`tensor._GATHER_MIN_SAMPLE` elements per sample, a range contracts each row
+of its chunks in a product of its own instead (`tensor._row_dots`), so a
+sample's margin can be taken from the rows its sparse weights select; the
+solver's passes are unchanged.
 """
 
 import math
@@ -94,6 +98,13 @@ def _run_split(tasks):
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _drain(chunks):
+    """Run an iterator of chunks to its end: a pass that reads and checks
+    samples without contracting them."""
+    for _ in chunks:
+        pass
 
 
 def contract_mode(arr, v, axis):

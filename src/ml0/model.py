@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import _run_split, _stacked, contract_down, contract_samples
-from .tensor import DenseTensor, _frozen, contract_full
+from .kernels import _drain, _run_split, _stacked, contract_down, contract_samples
+from .tensor import DenseTensor, _frozen, _row_dots, _support, contract_full
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,16 +138,33 @@ def margins(params: ModelParams, data) -> np.ndarray:
     is raised, and P is contracted with the other blocks. Every sample gets
     its own product, so its margin has the same bits however the samples
     are chunked or cut into ranges.
+
+    From `tensor._GATHER_MIN_SAMPLE` elements per sample, each row of a
+    chunk is contracted with the last block in a product of its own
+    (`tensor._row_dots`), and after the join P keeps only the rows the
+    leading blocks select (`tensor._support`) and is contracted with the
+    blocks on their supports: the products `tensor.contract_full` gives a
+    sample from its selected rows alone. A pass reads every row anyway, and
+    the row products cost less than gathering the rows chunk by chunk. An
+    empty support makes every margin the bias; the samples are still read
+    and checked.
     """
     _check_shapes(params.blocks, data)
-    *rest, w = params.blocks
+    w = params.blocks[-1]
+    rows, rest = _support(params.blocks, math.prod(data.feature_dims))
+    if rest is None:
+        _run_split([partial(_drain, chunks) for chunks in data.ranges()])
+        return np.zeros(data.n) + params.bias
     P = np.empty((data.n,) + data.feature_dims[:-1])
+    product = _stacked if rows is None else _row_dots
 
     def contract(chunks):
         for lo, chunk in chunks:
-            _stacked(chunk, w, P[lo : lo + len(chunk)])
+            product(chunk, w, P[lo : lo + len(chunk)])
 
     _run_split([partial(contract, chunks) for chunks in data.ranges()])
+    if rows is not None:
+        P = P.reshape(data.n, -1).take(rows, axis=1).reshape((data.n,) + tuple(v.size for v in rest))
     for v in reversed(rest):
         P = contract_samples(P, v)
     return P + params.bias

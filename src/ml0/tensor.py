@@ -1,10 +1,18 @@
 """Dense single-sample tensors, the checks every sample array, weight block
-and label array passes, and the full multilinear form that scores one sample."""
+and label array passes, and the full multilinear form that scores one sample,
+from only the rows its sparse weights select once the sample is large."""
 
 import numpy as np
 
 _FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
 _F64 = np.dtype(np.float64)
+
+# From this many elements per sample (a 128x128 sample holds 16,384), scoring
+# reads only the rows the leading weight blocks select: one thread reads the
+# bytes at about the same rate gathered or whole, so reading a fraction of
+# them wins. Below, the gather costs more than the bytes it saves (see README
+# "Performance"). The size of `kernels._SPLIT_MIN_SAMPLE`.
+_GATHER_MIN_SAMPLE = 1 << 14
 
 
 def _exclusive(a):
@@ -103,6 +111,13 @@ def contract_full(t, blocks):
     `kernels.contract_samples` gives each sample of a batch, so a sample
     scored alone has the bits of its margin in the batch.
 
+    From `_GATHER_MIN_SAMPLE` elements the sample is read only on the rows
+    the supports S_k of the leading blocks select (`_support`; only they can
+    reach the margin): each of those rows is contracted with the full last
+    block in a product of its own (`_row_dots`), and the result with each
+    w_k[S_k]; the margin is 0.0 when some S_k is empty. `model.margins` gives
+    each sample of that size the same products.
+
     A block that is already a C-contiguous float64 ndarray is used as it is;
     any other (a list, ints) is converted first, as `np.ascontiguousarray`
     converts it. A sample that is not a DenseTensor raises TypeError."""
@@ -115,6 +130,8 @@ def contract_full(t, blocks):
     dims = out.shape
     if len(blocks) != len(dims):
         raise _shape_mismatch(blocks, dims)
+    if out.size >= _GATHER_MIN_SAMPLE:
+        return _contract_gathered(out, blocks)
     for k in range(len(dims) - 1, -1, -1):
         w = blocks[k]
         if type(w) is not np.ndarray or w.dtype is not _F64 or not w.flags.c_contiguous:
@@ -124,6 +141,67 @@ def contract_full(t, blocks):
             raise _shape_mismatch(blocks, dims)
         out = out.reshape(-1, d) @ w
     return float(out[0])
+
+
+def _contract_gathered(x, blocks):
+    """`contract_full` of the sample array x from the rows `_support` selects."""
+    dims = x.shape
+    checked = []
+    for w, d in zip(blocks, dims):
+        if type(w) is not np.ndarray or w.dtype is not _F64 or not w.flags.c_contiguous:
+            w = np.ascontiguousarray(w, dtype=np.float64)
+        if w.shape != (d,):
+            raise _shape_mismatch(blocks, dims)
+        checked.append(w)
+    rows, lead = _support(checked, x.size)
+    if lead is None:
+        return 0.0
+    out = x.reshape(-1, dims[-1])
+    if rows is None:
+        out = out @ checked[-1]
+    else:
+        out = _row_dots(out.take(rows, axis=0), checked[-1])
+    for v in reversed(lead):
+        out = out.reshape(-1, v.size) @ v
+    return float(out[0])
+
+
+def _row_dots(arr, v, out=None):
+    """Each row of `arr` (its last axis as long as v) contracted with v in a
+    `dot` of its own, into `out` (of any shape with one entry per row) when
+    given; returns the (rows, 1) result. A row's result does not depend on
+    which rows share the call, so a sample's selected rows give the same
+    bits gathered alone as among all of its rows."""
+    return np.matmul(arr.reshape(-1, 1, v.size), v, out=None if out is None else out.reshape(-1, 1))
+
+
+def _support(blocks, size):
+    """The rows a sample of `size` elements is scored from, and the leading
+    blocks w_1..w_{p-1} (float64 vectors) it is then contracted with:
+    (rows, [w_1, ..., w_{p-1}]), as row indices of the sample's
+    (d_1 ... d_{p-1}, d_p) view.
+
+    Below `_GATHER_MIN_SAMPLE` elements, and wherever every support S_k is
+    its whole block, the rows are None (every row) and the blocks w_k
+    themselves. Otherwise the rows are the C-order flat indices of
+    S_1 x ... x S_{p-1}, so the gathered rows stack as
+    (|S_1|, ..., |S_{p-1}|, d_p), and the blocks are the w_k[S_k]. The
+    blocks are None when some S_k is empty: every product of the sample is
+    then 0."""
+    if size < _GATHER_MIN_SAMPLE:
+        return None, blocks[:-1]
+    rows, lead, whole = None, [], True
+    for w in blocks[:-1]:
+        s = w.nonzero()[0]
+        if not s.size:
+            return None, None
+        if s.size == w.size:
+            lead.append(w)
+        else:
+            whole = False
+            lead.append(w[s])
+        rows = s if rows is None else (rows[:, None] * w.size + s).reshape(-1)
+    return (None if whole else rows), lead
 
 
 def _shape_mismatch(blocks, dims):

@@ -15,6 +15,7 @@ import pytest
 import ml0
 import ml0.data
 import ml0.model
+import ml0.tensor
 from ml0 import (
     Dataset,
     FormatError,
@@ -341,6 +342,52 @@ class TestEval:
                           gamma=sidecar["gamma"])
         assert report["objective"] == objective(load_params(trained), ds, problem)
 
+    def test_above_the_gather_cutoff_one_pass_over_x_and_objective_bitwise(self, tmp_path, capsys,
+                                                                            monkeypatch):
+        """130x130 samples are scored from the rows the first block selects.
+        Recorded where the stream yields them, checked, the samples still
+        arrive once each, in file order, in chunks smaller than X, and each
+        chunk is contracted row by row as it arrives; the objective equals the
+        in-memory one."""
+        rng = np.random.default_rng(18)
+        n, dims, rows = 8, (130, 130), [3, 40, 41, 99]
+        assert math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE
+        X = rng.standard_normal((n,) + dims)
+        path = tmp_path / "big.ml0t"
+        save_dataset(Dataset(X, [1.0, -1.0] * (n // 2)), path)
+        w1 = np.zeros(dims[0])
+        w1[rows] = rng.standard_normal(len(rows))
+        model = tmp_path / "w.ml0w"
+        save_params(ModelParams(blocks=(w1, rng.standard_normal(dims[1])), bias=0.2), model)
+        (tmp_path / "w.ml0w.json").write_text(
+            json.dumps({"lambda": [2e-4, 2e-4], "sparsity": [len(rows), dims[1]]}))
+        read, contracted = [], []
+        ranges, row_dots = ml0.DatasetStream.ranges, ml0.model._row_dots
+
+        def recorded(chunks):
+            for lo, chunk in chunks:
+                read.append((lo, chunk.copy()))
+                yield lo, chunk
+
+        def recording(arr, v, out=None):
+            contracted.append(arr.copy())
+            return row_dots(arr, v, out)
+
+        monkeypatch.setattr(ml0.DatasetStream, "ranges",
+                            lambda stream: [recorded(r) for r in ranges(stream)])
+        monkeypatch.setattr(ml0.model, "_row_dots", recording)
+        rc = main(["eval", str(model), str(path)])
+        monkeypatch.undo()
+        assert rc == 0
+        per = ml0.data._FINITE_BLOCK // math.prod(dims)
+        assert [lo for lo, _ in read] == list(range(0, n, per))
+        assert np.concatenate([c for _, c in read]).tobytes() == X.tobytes()
+        assert all(c.size < X.size for _, c in read)
+        assert [c.tobytes() for c in contracted] == [c.tobytes() for _, c in read]
+        report = json.loads(capsys.readouterr().out)
+        problem = Problem(ridge=(2e-4, 2e-4), sparsity=(len(rows), dims[1]))
+        assert report["objective"] == objective(load_params(model), load_dataset(path), problem)
+
     def test_dimension_mismatch_exit_one(self, trained, tmp_path, capsys):
         other = tmp_path / "other.ml0t"
         rc = main(["gen", "--rows", "4", "--cols", "4", "--block", "2",
@@ -488,6 +535,54 @@ class TestEvalStream:
         path.write_bytes(RAW[:100])
         assert main(["eval", str(model), str(path)]) == 1
         assert "do not match sample dims (3, 2)" in capsys.readouterr().err
+
+    def test_a_non_finite_weight_exits_one_naming_the_block_and_offset(self, tmp_path, capsys):
+        """A weights file with an inf in block 1 (entries at 52-67 for the
+        (3, 2) blocks) fails as `load_params` fails on it."""
+        model = model_for(tmp_path, (3, 2))
+        raw = bytearray(model.read_bytes())
+        raw[60:68] = struct.pack("<d", np.inf)
+        model.write_bytes(bytes(raw))
+        path = tmp_path / "t.ml0t"
+        path.write_bytes(RAW)
+        assert main(["eval", str(model), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: non-finite value inf in block 1 (byte offset 60)\n"
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    @pytest.mark.parametrize("support", ["sparse", "empty"])
+    def test_a_bad_entry_in_rows_no_weight_selects_still_fails(self, tmp_path, capsys, monkeypatch,
+                                                               ranges, support):
+        """130x130 samples are scored from the rows the first block selects;
+        every sample byte is still read and checked, so a NaN or inf in a row
+        that no weight selects fails `load_dataset`, `margins` over a stream
+        and `ml0 eval` as it failed when every row was read."""
+        dims = (130, 130)
+        assert math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        rng = np.random.default_rng(19)
+        w1 = np.zeros(dims[0])
+        if support == "sparse":
+            w1[[3, 40, 41]] = rng.standard_normal(3)
+        params = ModelParams(blocks=(w1, rng.standard_normal(dims[1])), bias=0.1)
+        model = tmp_path / "w.ml0w"
+        save_params(params, model)
+        (tmp_path / "w.ml0w.json").write_text(json.dumps({"lambda": [0.0, 0.0], "sparsity": [3, 130]}))
+        n = 6
+        assert len(kernels._ranges(n, math.prod(dims))) - 1 == ranges
+        for sample, value in ((1, np.nan), (4, np.inf), (5, -np.inf)):
+            X = rng.standard_normal((n,) + dims)
+            X[sample, 100, 5] = value
+            path = tmp_path / "bad.ml0t"
+            path.write_bytes(dataset_bytes(X, [1, -1] * (n // 2)))
+            with pytest.raises(ValueError) as err:
+                load_dataset(path)
+            assert str(err.value) == "entries must be finite"
+            with ml0.DatasetStream(path) as stream, pytest.raises(ValueError) as streamed:
+                ml0.margins(params, stream)
+            assert str(streamed.value) == str(err.value)
+            assert main(["eval", str(model), str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_peak_is_the_partial_and_two_chunks(self, tmp_path, capsys):
         rng = np.random.default_rng(17)

@@ -680,3 +680,22 @@ class TestParamsIO:
         with pytest.raises(FormatError, match=f"truncated while reading {what} ") as err:
             load_params(path)
         assert err.value.offset == cut
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("offset, what", [(28, "block 0"), (44, "block 0"), (60, "block 1"),
+                                              (68, "bias")])
+    def test_a_non_finite_entry_names_the_file_the_block_and_its_offset(self, tmp_path, value,
+                                                                        offset, what):
+        """Layout as above. The bias is made non-finite too, so the error is
+        the first bad entry in file order."""
+        params = ModelParams(blocks=(np.arange(3.0), np.ones(2)), bias=0.5)
+        path = tmp_path / "w.ml0w"
+        save_params(params, path)
+        raw = bytearray(path.read_bytes())
+        raw[68:76] = struct.pack("<d", np.nan)
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_params(path)
+        assert str(err.value) == f"{path}: non-finite value {value} in {what} (byte offset {offset})"
+        assert err.value.offset == offset

@@ -6,6 +6,7 @@ import os
 import struct
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 import ml0.cli
 import ml0.data
 import ml0.kernels
+import ml0.model
+import ml0.tensor
 from ml0 import (
     Dataset,
     DatasetStream,
@@ -225,6 +228,20 @@ class TestSmoothLoss:
             np.testing.assert_allclose(
                 smooth_loss(params, data, problem), naive, rtol=1e-10
             )
+
+
+    def test_zero_params_give_n_log2_above_the_gather_cutoff(self):
+        """Zero blocks have empty supports: every margin is the bias, and the
+        samples are still read and checked."""
+        rng = np.random.default_rng(1)
+        dims = (130, 130)
+        assert math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE
+        data = Dataset(rng.standard_normal((7,) + dims), rng.choice([-1.0, 1.0], 7))
+        params = ModelParams(blocks=(np.zeros(130), np.zeros(130)), bias=0.0)
+        problem = Problem(ridge=(0.0, 0.0), sparsity=dims)
+        np.testing.assert_allclose(
+            smooth_loss(params, data, problem), 7 * math.log(2), rtol=1e-14
+        )
 
 
 class TestObjective:
@@ -789,3 +806,106 @@ class TestRangedPass:
         load_dataset(path)
         assert len(started) == 2 and len(threads) > 4
         assert all(t is threading.main_thread() for t in threads)
+
+
+def sparse_blocks(rng, dims, support):
+    """Weight blocks with about 30% of each block nonzero (at least one
+    entry), the first block made whole ("whole") or zero ("empty")."""
+    blocks = []
+    for d in dims:
+        w = rng.standard_normal(d)
+        w[rng.random(d) >= 0.3] = 0.0
+        w[rng.integers(d)] = 1.5
+        blocks.append(w)
+    if support == "whole":
+        blocks[0] = rng.standard_normal(dims[0])
+    elif support == "empty":
+        blocks[0] = np.zeros(dims[0])
+    return blocks
+
+
+class TestGatheredSupport:
+    """From `tensor._GATHER_MIN_SAMPLE` elements a sample is scored from the
+    rows its leading weight blocks select, by `predict` and by `margins`
+    alike, so the two agree bitwise on either side of the cutoff."""
+
+    @pytest.mark.parametrize("support", ["sparse", "whole", "empty"])
+    @pytest.mark.parametrize("dims", [(7,), (20000,), (30, 30), (130, 130), (200, 200),
+                                      (3, 20000), (20000, 3), (4, 5, 6), (30, 30, 30)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_predict_equals_margins_bitwise(self, tmp_path, monkeypatch, dims, support):
+        """In memory and streamed, in one range and two, in chunks of 1, 2
+        and 4 samples and the default; both against a from-scratch einsum,
+        within 1e-13 of the sum of the absolute terms."""
+        rng = np.random.default_rng(math.prod(dims))
+        n, size = 5, math.prod(dims)
+        X = rng.standard_normal((n,) + dims)
+        ds = Dataset(X, np.where(np.arange(n) % 2, -1.0, 1.0))
+        params = ModelParams(blocks=tuple(sparse_blocks(rng, dims, support)), bias=0.25)
+        want = np.array([predict(params, ds.sample(i)) for i in range(n)])
+        modes = "abc"[: len(dims)]
+        form = f"n{modes},{','.join(modes)}->n"
+        ref = np.einsum(form, X, *params.blocks) + params.bias
+        scale = np.einsum(form, np.abs(X), *map(np.abs, params.blocks)) + abs(params.bias)
+        assert np.all(np.abs(want - ref) <= 1e-13 * scale)
+        path = tmp_path / "d.ml0t"
+        save_dataset(ds, path)
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        for ranges, cutoff in ((1, 1 << 62), (2, 1)):
+            monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", cutoff)
+            assert len(ml0.kernels._ranges(n, size)) - 1 == ranges
+            for chunk in (1, 2, 4, None):
+                monkeypatch.setattr(ml0.data, "_FINITE_BLOCK",
+                                    chunk * size if chunk else ml0.tensor._FINITE_BLOCK)
+                assert margins(params, ds).tobytes() == want.tobytes(), (ranges, chunk)
+                with DatasetStream(path) as stream:
+                    assert margins(params, stream).tobytes() == want.tobytes(), (ranges, chunk)
+
+    def test_default_cutoff_gathers_only_large_samples(self, monkeypatch):
+        """30x30 samples (desk and score scale) and 127x128 ones (16,256
+        elements) are read whole; 128x128 (16,384) and 200x200 ones are scored
+        by `predict` from the rows the first block selects, and by `margins`
+        from a product per row."""
+        assert ml0.tensor._GATHER_MIN_SAMPLE == ml0.kernels._SPLIT_MIN_SAMPLE
+        row_dots = []
+        dots = ml0.tensor._row_dots
+
+        def recording(arr, v, out=None):
+            row_dots.append(arr.shape)
+            return dots(arr, v, out)
+
+        monkeypatch.setattr(ml0.tensor, "_row_dots", recording)
+        monkeypatch.setattr(ml0.model, "_row_dots", recording)
+        rng = np.random.default_rng(60)
+        for dims, gathers in (((30, 30), False), ((127, 128), False), ((128, 128), True),
+                              ((200, 200), True)):
+            del row_dots[:]
+            ds = Dataset(rng.standard_normal((3,) + dims), [1.0, -1.0, 1.0])
+            w1 = np.zeros(dims[0])
+            w1[: dims[0] // 3] = 1.0
+            params = ModelParams(blocks=(w1, rng.standard_normal(dims[1])), bias=0.0)
+            assert predict(params, ds.sample(0)) == margins(params, ds)[0]
+            assert row_dots == ([(dims[0] // 3, dims[1]), (3,) + dims] if gathers else [])
+
+    def test_in_memory_peak_is_the_partial(self):
+        """Above the cutoff `margins` gathers no sample rows: its traced peak
+        is the partial P, its selected rows and a few vectors of n."""
+        rng = np.random.default_rng(61)
+        n, dims, selected = 60, (130, 130), 30
+        ds = Dataset(rng.standard_normal((n,) + dims), np.where(np.arange(n) % 2, -1.0, 1.0))
+        w1 = np.zeros(dims[0])
+        w1[rng.choice(dims[0], selected, replace=False)] = rng.standard_normal(selected)
+        params = ModelParams(blocks=(w1, rng.standard_normal(dims[1])), bias=0.0)
+        assert len(ml0.kernels._ranges(n, math.prod(dims))) == 2
+        want = margins(params, ds)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            m = margins(params, ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert m.tobytes() == want.tobytes()
+        partial = 8 * n * dims[0]
+        assert peak <= partial + 8 * n * selected + (16 << 10), peak

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import ml0.tensor
 from ml0 import DenseTensor
 from ml0.kernels import contract_down, contract_mode
 from ml0.tensor import contract_full
@@ -130,6 +131,23 @@ class TestContractFull:
                 vectors = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
                 want = float(contract_down(t.array[None], vectors).reshape(()))
                 assert contract_full(t, blocks).hex() == want.hex()
+
+    def test_the_gathered_path_takes_any_block_form_and_names_a_mismatch(self, monkeypatch):
+        """With every sample above the gather cutoff, block forms keep the
+        bits of float64 vectors and a mismatch raises the same message."""
+        monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1)
+        rng = np.random.default_rng(24)
+        for dims in [(5,), (3, 4), (2, 1, 3), (4, 3, 5)]:
+            t = DenseTensor(rng.standard_normal(dims))
+            ints = [rng.integers(-1, 2, d) for d in dims]
+            for blocks in ([b.tolist() for b in ints], ints, [b.astype(np.float32) for b in ints],
+                           [b.astype(">f8") for b in ints], [np.repeat(b, 2)[::2] for b in ints]):
+                vectors = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+                assert contract_full(t, blocks).hex() == contract_full(t, vectors).hex()
+        t = DenseTensor(np.ones((2, 3, 4)))
+        want = "block shapes [(2,), (4,), (3,)] do not match sample dims (2, 3, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            contract_full(t, [np.ones(2), np.ones(4), np.ones(3)])
 
     def test_order_independence(self):
         rng = np.random.default_rng(11)
