@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from .kernels import _drain, _ranges, _run_split
-from .tensor import _FINITE_BLOCK, DenseTensor, _check_finite, _check_labels, _exclusive, _frozen
+from .tensor import _FINITE_BLOCK, DenseTensor, _check_labels, _exclusive, _first_non_finite, _frozen
 
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
@@ -88,6 +88,12 @@ class Dataset:
         its chunks."""
         bounds = _ranges(self.n, self._X[0].size)
         return [iter([(lo, self._X[lo:hi])]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def _contracted(self, product):
+        """`DatasetStream._contracted` in memory: one iterator per range of
+        `ranges()` that hands its chunk to `product(lo, chunk)` when it is
+        run. The samples were checked when the dataset was made."""
+        return [(product(lo, chunk) for lo, chunk in chunks) for chunks in self.ranges()]
 
     def subset(self, indices):
         """The samples a 1-D selection picks, one or more, without a second check."""
@@ -261,11 +267,15 @@ class _Reader:
         self._need(8 * size, what)
         arr = np.empty(size, dtype="<f8")
         self._fill(memoryview(arr).cast("B"), what)
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FormatError(f"{self.path}: non-finite value {arr[bad[0]]} in {what}",
-                              at + 8 * int(bad[0]))
+        self.check(arr, at, what)
         return arr
+
+    def check(self, arr, at, what):
+        """Raise at the offset of the first entry of `arr`, a contiguous array
+        read from byte `at`, that is not finite."""
+        i = _first_non_finite(arr)
+        if i is not None:
+            raise FormatError(f"{self.path}: non-finite value {arr.flat[i]} in {what}", at + 8 * i)
 
     def unpack(self, fmt, what):
         """Read the fields of one little-endian `struct` format."""
@@ -338,17 +348,25 @@ def _read_dataset_head(reader):
     return dims, labels
 
 
-def _sample_ranges(reader, dims, bounds, X=None):
+def _sample_ranges(reader, dims, bounds, X=None, product=None):
     """One iterator per range of the sample `bounds` over the sample data,
     which starts at `reader.off` and which `reader._need` has checked.
 
     The first range reads through `reader`, each other through a handle of
     its own, opened from the same path and checked to be the same file. A
     range reads chunks of `max(1, _FINITE_BLOCK // prod(dims))` samples into
-    its rows of X when X is given, else into one buffer of its own, checks
-    each for finiteness and yields (index of its first sample, chunk). The
-    range that ends the samples checks that the file ends there too. The
-    iterators share nothing, so each may run on a thread of its own.
+    its rows of X when X is given, else into one buffer of its own, and
+    yields (index of its first sample, chunk). The range that ends the
+    samples checks that the file ends there too. The iterators share
+    nothing, so each may run on a thread of its own.
+
+    Without `product` each chunk is checked entry by entry before it is
+    yielded. With it, `product(lo, chunk)` first contracts the chunk and
+    returns its products, and the chunk is checked through them: a NaN or
+    inf entry makes the product of its row NaN or inf, so only a chunk with
+    a non-finite product is scanned. Either check raises FormatError at the
+    first non-finite entry in file order; a chunk that passes the scan
+    overflowed in its products, which stand.
     """
     size = math.prod(dims)
     per = max(1, _FINITE_BLOCK // size)
@@ -360,7 +378,8 @@ def _sample_ranges(reader, dims, bounds, X=None):
             k = min(per, hi - at)
             chunk = X[at : at + k] if buf is None else buf[:k]
             r._fill(memoryview(chunk).cast("B"), "sample data")
-            _check_finite(chunk)
+            if product is None or not np.isfinite(product(at, chunk)).all():
+                r.check(chunk, r.off - chunk.nbytes, "sample data")
             yield at, chunk
         if hi == bounds[-1]:
             r.done()
@@ -384,8 +403,8 @@ def load_dataset(path) -> Dataset:
 
     The sample data is read once, straight from the file into the array the
     returned Dataset holds, in the ranges of `kernels._ranges`, one thread
-    each; each chunk is checked for finiteness as it lands. The first fault
-    in file order is raised.
+    each; each chunk is checked entry by entry as it lands. The first fault
+    in file order is raised, a non-finite entry at its own offset.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
@@ -406,11 +425,13 @@ class DatasetStream:
     with a reader of its own and one buffer per range of
     `max(1, _FINITE_BLOCK // prod(dims))` samples (512 KiB, so a chunk fits
     in L2). A range reads its samples into its buffer chunk by chunk, checks
-    each chunk for finiteness and yields (index of its first sample, chunk);
+    each chunk entry by entry and yields (index of its first sample, chunk);
     a chunk is valid until the range's next is read. The ranges may run on
-    threads of their own. `chunks()` is the one range of all samples. Every
-    fault raises `load_dataset`'s message for the file. A second pass raises
-    ValueError: open the file again instead.
+    threads of their own. `chunks()` is the one range of all samples. The
+    pass of `model.margins` (`_contracted`) checks each chunk through the
+    products it contracts it into instead, and scans only a chunk with a
+    non-finite product. Every fault raises `load_dataset`'s message for the
+    file. A second pass raises ValueError: open the file again instead.
     """
 
     def __init__(self, path):
@@ -437,13 +458,19 @@ class DatasetStream:
     def chunks(self):
         return self._pass([0, self.n])[0]
 
-    def _pass(self, bounds):
+    def _contracted(self, product):
+        """`ranges()`, with each chunk handed to `product(lo, chunk)` as it is
+        read and checked through the products it returns (`_sample_ranges`):
+        the pass `model.margins` makes."""
+        return self._pass(_ranges(self.n, math.prod(self.feature_dims)), product)
+
+    def _pass(self, bounds, product=None):
         reader = self._reader
         if self._read:
             raise ValueError(f"{reader.path}: stream was already read; it gives one pass")
         self._read = True
         reader._need(8 * self.n * math.prod(self.feature_dims), "sample data")
-        return _sample_ranges(reader, self.feature_dims, bounds)
+        return _sample_ranges(reader, self.feature_dims, bounds, product=product)
 
 
 def save_params(params, path):

@@ -129,15 +129,24 @@ def margins(params: ModelParams, data) -> np.ndarray:
     """Margins for every sample of a `Dataset` or of an open `DatasetStream`.
 
     The block lengths are checked before any sample byte is read.
-    `data.ranges()` cuts the samples into the ranges of `kernels._ranges`:
+    `data._contracted` cuts the samples into the ranges of `kernels._ranges`:
     one per usable core from `kernels._SPLIT_MIN_PASS` elements in all, else
     one. Each range runs on a thread of its own, the first on this one, and
-    reads and checks its chunks, contracting each with the last block while
-    in cache into its rows of the partial P; it calls only private helpers
-    and numpy. After every thread has joined, the first fault in file order
-    is raised, and P is contracted with the other blocks. Every sample gets
-    its own product, so its margin has the same bits however the samples
-    are chunked or cut into ranges.
+    reads its chunks, contracting each with the last block while in cache
+    into its rows of the partial P; it calls only private helpers and numpy.
+    After every thread has joined, the first fault in file order is raised,
+    and P is contracted with the other blocks. Every sample gets its own
+    product, so its margin has the same bits however the samples are
+    chunked or cut into ranges.
+
+    A stream's chunk is checked through those products: only a chunk with a
+    non-finite product is scanned, entry by entry, and a non-finite entry
+    raises FormatError at its offset; a chunk of finite entries whose
+    products overflowed keeps them. This relies on IEEE 754 arithmetic and
+    on a product that multiplies and sums every term, as numpy's `matmul`
+    does on OpenBLAS: a NaN or inf entry then makes its row's product NaN
+    or inf whatever the weight (NaN*0 and inf*0 are NaN). Invalid
+    operations in a range's products do not warn; overflows do.
 
     From `tensor._GATHER_MIN_SAMPLE` elements per sample, each row of a
     chunk is contracted with the last block in a product of its own
@@ -147,7 +156,7 @@ def margins(params: ModelParams, data) -> np.ndarray:
     sample from its selected rows alone. A pass reads every row anyway, and
     the row products cost less than gathering the rows chunk by chunk. An
     empty support makes every margin the bias; the samples are still read
-    and checked.
+    and checked entry by entry (`data.ranges()`).
     """
     _check_shapes(params.blocks, data)
     w = params.blocks[-1]
@@ -158,11 +167,18 @@ def margins(params: ModelParams, data) -> np.ndarray:
     P = np.empty((data.n,) + data.feature_dims[:-1])
     product = _stacked if rows is None else _row_dots
 
-    def contract(chunks):
-        for lo, chunk in chunks:
-            product(chunk, w, P[lo : lo + len(chunk)])
+    def contract(lo, chunk):
+        out = P[lo : lo + len(chunk)]
+        product(chunk, w, out)
+        return out
 
-    _run_split([partial(contract, chunks) for chunks in data.ranges()])
+    def run(chunks):
+        # A non-finite entry's products are NaN or inf by design, and its
+        # range raises for it; an overflow still warns.
+        with np.errstate(invalid="ignore"):
+            _drain(chunks)
+
+    _run_split([partial(run, chunks) for chunks in data._contracted(contract)])
     if rows is not None:
         P = P.reshape(data.n, -1).take(rows, axis=1).reshape((data.n,) + tuple(v.size for v in rest))
     for v in reversed(rest):

@@ -28,13 +28,22 @@ def _exclusive(a):
     return a.copy()
 
 
-def _check_finite(a):
-    """Raise unless every entry of a contiguous array is finite. Block by
-    block, so the check allocates no bool array the size of `a`."""
+def _first_non_finite(a):
+    """Flat index of the first entry of a contiguous array that is not
+    finite, or None. Block by block, so the scan allocates no bool array the
+    size of `a`."""
     flat = a.reshape(-1)
     for start in range(0, flat.size, _FINITE_BLOCK):
-        if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-            raise ValueError("entries must be finite")
+        ok = np.isfinite(flat[start : start + _FINITE_BLOCK])
+        if not ok.all():
+            return start + int(ok.argmin())
+    return None
+
+
+def _check_finite(a):
+    """Raise unless every entry of a contiguous array is finite."""
+    if _first_non_finite(a) is not None:
+        raise ValueError("entries must be finite")
 
 
 def _check_labels(y):

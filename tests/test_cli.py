@@ -345,10 +345,10 @@ class TestEval:
     def test_above_the_gather_cutoff_one_pass_over_x_and_objective_bitwise(self, tmp_path, capsys,
                                                                             monkeypatch):
         """130x130 samples are scored from the rows the first block selects.
-        Recorded where the stream yields them, checked, the samples still
-        arrive once each, in file order, in chunks smaller than X, and each
-        chunk is contracted row by row as it arrives; the objective equals the
-        in-memory one."""
+        Recorded where the stream hands them to the product that checks them,
+        the samples still arrive once each, in file order, in chunks smaller
+        than X, and each chunk is contracted row by row as it arrives, before
+        the next is read; the objective equals the in-memory one."""
         rng = np.random.default_rng(18)
         n, dims, rows = 8, (130, 130), [3, 40, 41, 99]
         assert math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE
@@ -361,20 +361,23 @@ class TestEval:
         save_params(ModelParams(blocks=(w1, rng.standard_normal(dims[1])), bias=0.2), model)
         (tmp_path / "w.ml0w.json").write_text(
             json.dumps({"lambda": [2e-4, 2e-4], "sparsity": [len(rows), dims[1]]}))
-        read, contracted = [], []
-        ranges, row_dots = ml0.DatasetStream.ranges, ml0.model._row_dots
+        read, contracted, events = [], [], []
+        contracted_ranges, row_dots = ml0.DatasetStream._contracted, ml0.model._row_dots
 
-        def recorded(chunks):
-            for lo, chunk in chunks:
+        def recorded(product):
+            def handed(lo, chunk):
                 read.append((lo, chunk.copy()))
-                yield lo, chunk
+                events.append("read")
+                return product(lo, chunk)
+            return handed
 
         def recording(arr, v, out=None):
             contracted.append(arr.copy())
+            events.append("contracted")
             return row_dots(arr, v, out)
 
-        monkeypatch.setattr(ml0.DatasetStream, "ranges",
-                            lambda stream: [recorded(r) for r in ranges(stream)])
+        monkeypatch.setattr(ml0.DatasetStream, "_contracted",
+                            lambda stream, product: contracted_ranges(stream, recorded(product)))
         monkeypatch.setattr(ml0.model, "_row_dots", recording)
         rc = main(["eval", str(model), str(path)])
         monkeypatch.undo()
@@ -384,6 +387,7 @@ class TestEval:
         assert np.concatenate([c for _, c in read]).tobytes() == X.tobytes()
         assert all(c.size < X.size for _, c in read)
         assert [c.tobytes() for c in contracted] == [c.tobytes() for _, c in read]
+        assert events == ["read", "contracted"] * len(read)
         report = json.loads(capsys.readouterr().out)
         problem = Problem(ridge=(2e-4, 2e-4), sparsity=(len(rows), dims[1]))
         assert report["objective"] == objective(load_params(model), load_dataset(path), problem)
@@ -555,7 +559,8 @@ class TestEvalStream:
         """130x130 samples are scored from the rows the first block selects;
         every sample byte is still read and checked, so a NaN or inf in a row
         that no weight selects fails `load_dataset`, `margins` over a stream
-        and `ml0 eval` as it failed when every row was read."""
+        and `ml0 eval` with one FormatError naming the file and the entry's
+        byte offset."""
         dims = (130, 130)
         assert math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE
         monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
@@ -575,12 +580,16 @@ class TestEvalStream:
             X[sample, 100, 5] = value
             path = tmp_path / "bad.ml0t"
             path.write_bytes(dataset_bytes(X, [1, -1] * (n // 2)))
-            with pytest.raises(ValueError) as err:
+            offset = 36 + n + 8 * (sample * math.prod(dims) + 100 * dims[1] + 5)
+            with pytest.raises(FormatError) as err:
                 load_dataset(path)
-            assert str(err.value) == "entries must be finite"
-            with ml0.DatasetStream(path) as stream, pytest.raises(ValueError) as streamed:
+            assert str(err.value) == (f"{path}: non-finite value {value} in sample data"
+                                      f" (byte offset {offset})")
+            assert err.value.offset == offset
+            with ml0.DatasetStream(path) as stream, pytest.raises(FormatError) as streamed:
                 ml0.margins(params, stream)
             assert str(streamed.value) == str(err.value)
+            assert streamed.value.offset == offset
             assert main(["eval", str(model), str(path)]) == 1
             assert capsys.readouterr().err == f"error: {err.value}\n"
 

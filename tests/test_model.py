@@ -1,12 +1,14 @@
 import contextlib
 import inspect
 import io
+import json
 import math
 import os
 import struct
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -567,6 +569,7 @@ class TestStreamedMargins:
         other = ModelParams(blocks=(np.ones(2), np.ones(3)), bias=0.0)
         with DatasetStream(path) as stream:
             monkeypatch.setattr(stream, "ranges", lambda: pytest.fail("read samples"))
+            monkeypatch.setattr(stream, "_contracted", lambda product: pytest.fail("read samples"))
             with pytest.raises(ValueError, match="do not match sample dims"):
                 margins(other, stream)
 
@@ -687,10 +690,14 @@ class TestRangedPass:
         X = rng.standard_normal((9,) + self.DIMS)
         X[6, 1, 0] = np.inf
         path = self.saved(tmp_path, X)
-        with pytest.raises(ValueError, match="entries must be finite"):
+        offset = self.HEAD + 9 + 8 * (6 * 6 + 1 * 2 + 0)
+        message = f"{path}: non-finite value inf in sample data (byte offset {offset})"
+        with pytest.raises(FormatError) as err:
             load_dataset(path)
-        with DatasetStream(path) as stream, pytest.raises(ValueError, match="entries must be finite"):
+        assert str(err.value) == message and err.value.offset == offset
+        with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
             margins(self.params(rng), stream)
+        assert str(err.value) == message and err.value.offset == offset
 
     def test_trailing_bytes_are_checked_by_the_last_range(self, tmp_path, ranged):
         rng = np.random.default_rng(53)
@@ -909,3 +916,219 @@ class TestGatheredSupport:
         assert m.tobytes() == want.tobytes()
         partial = 8 * n * dims[0]
         assert peak <= partial + 8 * n * selected + (16 << 10), peak
+
+
+def write_samples(path, X, y=None):
+    """A dataset file packed by hand, so it may hold non-finite or huge
+    samples; returns the byte offset of its sample data."""
+    dims = X.shape[1:]
+    y = np.where(np.arange(len(X)) % 2, -1, 1) if y is None else np.asarray(y)
+    head = (b"ML0T" + struct.pack(f"<II{len(dims)}Q", 1, len(dims), *dims)
+            + struct.pack("<Q", len(X)) + y.astype("<i1").tobytes())
+    path.write_bytes(head + X.astype("<f8").tobytes())
+    return len(head)
+
+
+def first_fault(path, X, start):
+    """The error and offset of the first non-finite entry of X in file order,
+    for a file whose sample data starts at byte `start`."""
+    flat = X.reshape(-1)
+    i = int(np.flatnonzero(~np.isfinite(flat))[0])
+    offset = start + 8 * i
+    return f"{path}: non-finite value {flat[i]} in sample data (byte offset {offset})", offset
+
+
+class TestCheckedThroughProducts:
+    """`margins` over a stream checks each chunk through the products it
+    contracts the chunk into, and scans a chunk entry by entry only when a
+    product is not finite. Under IEEE 754 a NaN or inf entry makes the
+    product of its row NaN or inf whatever the weights (NaN*0 and inf*0 are
+    NaN), so the pass fails where an entry-by-entry check fails: at the first
+    non-finite entry in file order, naming the file and the entry's offset.
+    A chunk whose finite entries overflow in a product keeps its products."""
+
+    @staticmethod
+    def leading(rng, d):
+        """A block with zeros and at least one nonzero, so a sample above the
+        gather cutoff is scored from some of its rows."""
+        w = rng.standard_normal(d) * (rng.random(d) < 0.6)
+        w[rng.integers(d)] = 1.0
+        return w
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    @pytest.mark.parametrize("gather", ["below", "above"])
+    def test_a_bad_entry_fails_where_an_entry_check_fails(self, tmp_path, monkeypatch, ranges,
+                                                          gather):
+        """NaN, +inf and -inf at random positions and at positions the last
+        block weighs 0, with a last block that has zeros and one that is 0
+        everywhere; orders 1-3, d_p 1-40, 130 and 200, 1 to 30 rows a sample;
+        sometimes a second bad entry later. `margins` over a stream,
+        `load_dataset` and a from-scratch scan name the same entry."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1 if gather == "above" else 1 << 62)
+        rng = np.random.default_rng(70 + 2 * ranges + (gather == "above"))
+        n, path, cases = 5, tmp_path / "bad.ml0t", 0
+        for d in [*range(1, 41), 130, 200]:
+            a = int(rng.integers(1, 6))
+            for lead in ((), (int(rng.integers(1, 31)),), (a, int(rng.integers(1, 30 // a + 1)))):
+                dims = lead + (d,)
+                assert len(ml0.kernels._ranges(n, math.prod(dims))) - 1 == ranges
+                monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 2 * math.prod(dims))  # 2 samples a chunk
+                blocks = [self.leading(rng, k) for k in lead]
+                last = rng.standard_normal(d) * (rng.random(d) < 0.5)
+                for w in (last, np.zeros(d)):
+                    params = ModelParams(blocks=(*blocks, w), bias=0.5)
+                    zero = np.flatnonzero(w == 0.0)
+                    for bad in (np.nan, np.inf, -np.inf):
+                        for at_zero in (False, True):
+                            X = rng.standard_normal((n,) + dims)
+                            flat = X.reshape(-1)
+                            i = int(rng.integers(flat.size))
+                            if at_zero and zero.size:
+                                i += int(rng.choice(zero)) - i % d
+                            flat[i] = bad
+                            if rng.random() < 0.5:
+                                flat[rng.integers(i, flat.size)] = rng.choice([np.nan, np.inf, -np.inf])
+                            start = write_samples(path, X)
+                            message, offset = first_fault(path, X, start)
+                            with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
+                                margins(params, stream)
+                            assert (str(err.value), err.value.offset) == (message, offset), dims
+                            with pytest.raises(FormatError) as loaded:
+                                load_dataset(path)
+                            assert (str(loaded.value), loaded.value.offset) == (message, offset)
+                            cases += 1
+        assert cases == 42 * 3 * 2 * 3 * 2
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    @pytest.mark.parametrize("gather", ["below", "above"])
+    def test_an_overflow_keeps_todays_margins_json_and_warnings(self, tmp_path, capsys,
+                                                                monkeypatch, ranges, gather):
+        """Rows 1 and 2 of sample 1, the rows the first block selects, hold
+        finite entries of 1e308 whose products overflow to inf. Its margin is +inf as `predict` gives it; the stream gives the
+        in-memory margins bitwise, `ml0 eval` the JSON of the in-memory
+        metrics, and each warns once, of the overflow, as a product of the
+        same sample alone does."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1 if gather == "above" else 1 << 62)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 20)  # a sample a chunk
+        rng = np.random.default_rng(80)
+        n, dims = 6, (4, 5)
+        X = rng.standard_normal((n,) + dims)
+        X[1, 1:3] = 1e308
+        path = tmp_path / "huge.ml0t"
+        write_samples(path, X)
+        w1 = np.array([0.0, 0.7, 1.2, 0.0])  # a sparse support above the cutoff
+        params = ModelParams(blocks=(w1, rng.uniform(0.5, 1.5, dims[1])), bias=0.1)
+        model = tmp_path / "w.ml0w"
+        save_params(params, model)
+        (tmp_path / "w.ml0w.json").write_text(json.dumps({"lambda": [0.0, 0.0], "sparsity": [2, 5]}))
+        overflow = [(RuntimeWarning, "overflow encountered in matmul")]
+
+        def warned(call, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = call(*args)
+            return value, [(w.category, str(w.message)) for w in caught]
+
+        ds = load_dataset(path)
+        alone, seen = warned(predict, params, ds.sample(1))
+        assert alone == np.inf and seen == overflow
+        want, seen = warned(margins, params, ds)
+        assert seen == overflow
+        with DatasetStream(path) as stream:
+            m, seen = warned(margins, params, stream)
+        assert m.tobytes() == want.tobytes() and seen == overflow
+        assert m[1] == np.inf and np.isfinite(np.delete(m, 1)).all()
+        rc, seen = warned(ml0.cli.main, ["eval", str(model), str(path)])
+        assert rc == 0 and seen == overflow
+        problem = Problem(ridge=(0.0, 0.0), sparsity=(2, 5))
+        assert json.loads(capsys.readouterr().out) == {
+            "accuracy": accuracy(want, ds.y), "auc": auc(want, ds.y), "n": n,
+            "objective": objective_from_margins(want, ds.y, params.blocks, problem.ridge,
+                                                problem.sparsity)}
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_an_overflow_before_a_nan_raises_at_the_nan(self, tmp_path, monkeypatch, ranges):
+        """Chunks 0 and 2 overflow in their products and pass the scan; the
+        NaN in chunk 4 fails at its offset."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)  # a sample a chunk
+        rng = np.random.default_rng(81)
+        X = rng.standard_normal((6, 2, 3))
+        X[[0, 2]] = 1e308
+        X[4, 1, 2] = np.nan
+        path = tmp_path / "t.ml0t"
+        message, offset = first_fault(path, X, write_samples(path, X))
+        params = ModelParams(blocks=(np.ones(2), np.ones(3)), bias=0.0)
+        with DatasetStream(path) as stream, pytest.raises(FormatError) as err, \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            margins(params, stream)
+        assert (str(err.value), err.value.offset) == (message, offset)
+
+    def test_the_first_fault_in_file_order_is_raised_across_ranges(self, tmp_path, monkeypatch):
+        """Range 0 (samples 0-3) holds a NaN in its last sample where the
+        weights are 0, range 1 (samples 4-8) an inf in its first: range 0's
+        is raised. With range 0 clean, range 1's is."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)
+        rng = np.random.default_rng(82)
+        params = ModelParams(blocks=(np.ones(2), np.array([1.0, 0.0, 2.0])), bias=0.0)
+        for first in (True, False):
+            X = rng.standard_normal((9, 2, 3))
+            assert ml0.kernels._ranges(len(X), 6) == [0, 4, 9]
+            if first:
+                X[3, 0, 1] = np.nan
+            X[4, 1, 0] = np.inf
+            path = tmp_path / "t.ml0t"
+            message, offset = first_fault(path, X, write_samples(path, X))
+            assert offset == 36 + 9 + 8 * (6 * 3 + 1 if first else 6 * 4 + 3)
+            with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
+                margins(params, stream)
+            assert (str(err.value), err.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_a_bad_file_warns_nothing(self, tmp_path, monkeypatch, ranges):
+        """inf times a weight of 0, and +inf beside -inf in one row, are
+        invalid operations inside the product; the pass raises FormatError
+        with no RuntimeWarning."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        params = ModelParams(blocks=(np.ones(2), np.array([1.0, 0.0, 2.0])), bias=0.0)
+        for cells, values in ((((4, 0, 1),), (np.inf,)), (((5, 1, 0), (5, 1, 2)), (np.inf, -np.inf))):
+            X = np.ones((8, 2, 3))
+            for cell, value in zip(cells, values):
+                X[cell] = value
+            path = tmp_path / "t.ml0t"
+            message, _ = first_fault(path, X, write_samples(path, X))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with DatasetStream(path) as stream, pytest.raises(FormatError, match="non-finite"):
+                    margins(params, stream)
+            assert caught == []
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_the_public_passes_hand_out_only_checked_chunks(self, tmp_path, monkeypatch, ranges):
+        """`chunks()` and `ranges()` have no products to check through: each
+        chunk is checked entry by entry before it is yielded, so the chunk
+        holding the NaN never reaches the caller."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)  # a sample a chunk
+        X = np.random.default_rng(83).standard_normal((4, 2, 3))
+        X[2, 0, 0] = np.nan
+        path = tmp_path / "t.ml0t"
+        message, offset = first_fault(path, X, write_samples(path, X))
+        for public in ("chunks", "ranges"):
+            seen = []
+            with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
+                passes = stream.chunks() if public == "chunks" else stream.ranges()
+                for chunks in [passes] if public == "chunks" else passes:
+                    for lo, _ in chunks:
+                        seen.append(lo)
+            assert (str(err.value), err.value.offset) == (message, offset)
+            assert seen == [0, 1]
