@@ -174,6 +174,10 @@ def cmd_eval(args):
     problem = _sidecar_problem(args.model, params)
     with DatasetStream(args.dataset) as stream:
         m = margins(params, stream)
+    nan = int(np.isnan(m).sum())
+    if nan:  # the stream checked every entry, so only an overflow makes a NaN
+        raise ValueError(f"{args.dataset}: {nan} of {m.size} margins are NaN: "
+                         "products of its finite samples overflowed")
     y = stream.y
     report = {
         "accuracy": accuracy(m, y),

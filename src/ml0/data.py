@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import _drain, _ranges, _run_split
+from .kernels import _ranges, _run_split
 from .tensor import _FINITE_BLOCK, DenseTensor, _check_labels, _exclusive, _first_non_finite, _frozen
 
 DATASET_MAGIC = b"ML0T"
@@ -82,18 +82,11 @@ class Dataset:
         """Sample i as a DenseTensor viewing X, without a copy or a second check."""
         return DenseTensor._checked(self._X[operator.index(i)])
 
-    def ranges(self):
-        """One iterator per range of `kernels._ranges`, each yielding its
-        samples as one chunk (lo, X[lo:hi]), as `DatasetStream.ranges` yields
-        its chunks."""
-        bounds = _ranges(self.n, self._X[0].size)
-        return [iter([(lo, self._X[lo:hi])]) for lo, hi in zip(bounds, bounds[1:])]
-
-    def _contracted(self, product):
-        """`DatasetStream._contracted` in memory: one iterator per range of
-        `ranges()` that hands its chunk to `product(lo, chunk)` when it is
-        run. The samples were checked when the dataset was made."""
-        return [(product(lo, chunk) for lo, chunk in chunks) for chunks in self.ranges()]
+    def _read(self, product):
+        """`DatasetStream._read` in memory: each range of `kernels._ranges`
+        hands its samples to `product(lo, X[lo:hi])` as one chunk. The
+        samples were checked when the dataset was made."""
+        _each_range(self.n, self._X[0].size, lambda lo, hi: product(lo, self._X[lo:hi]))
 
     def subset(self, indices):
         """The samples a 1-D selection picks, one or more, without a second check."""
@@ -348,72 +341,32 @@ def _read_dataset_head(reader):
     return dims, labels
 
 
-def _sample_ranges(reader, dims, bounds, X=None, product=None):
-    """One iterator per range of the sample `bounds` over the sample data,
-    which starts at `reader.off` and which `reader._need` has checked.
+def _each_range(n, size, task):
+    """Call task(lo, hi) for each range of `kernels._ranges(n, size)`, the
+    first on this thread and each other on a thread of its own
+    (`kernels._run_split`), under np.errstate(invalid="ignore"): a
+    non-finite entry makes its products NaN by design and raises for itself;
+    an overflow still warns."""
+    bounds = _ranges(n, size)
 
-    The first range reads through `reader`, each other through a handle of
-    its own, opened from the same path and checked to be the same file. A
-    range reads chunks of `max(1, _FINITE_BLOCK // prod(dims))` samples into
-    its rows of X when X is given, else into one buffer of its own, and
-    yields (index of its first sample, chunk). The range that ends the
-    samples checks that the file ends there too. The iterators share
-    nothing, so each may run on a thread of its own.
+    def run(lo, hi):
+        with np.errstate(invalid="ignore"):
+            task(lo, hi)
 
-    Without `product` each chunk is checked entry by entry before it is
-    yielded. With it, `product(lo, chunk)` first contracts the chunk and
-    returns its products, and the chunk is checked through them: a NaN or
-    inf entry makes the product of its row NaN or inf, so only a chunk with
-    a non-finite product is scanned. Either check raises FormatError at the
-    first non-finite entry in file order; a chunk that passes the scan
-    overflowed in its products, which stand.
-    """
-    size = math.prod(dims)
-    per = max(1, _FINITE_BLOCK // size)
-    start = reader.off
-
-    def read(r, lo, hi):
-        buf = None if X is not None else np.empty((min(per, hi - lo),) + dims, dtype="<f8")
-        for at in range(lo, hi, per):
-            k = min(per, hi - at)
-            chunk = X[at : at + k] if buf is None else buf[:k]
-            r._fill(memoryview(chunk).cast("B"), "sample data")
-            if product is None or not np.isfinite(product(at, chunk)).all():
-                r.check(chunk, r.off - chunk.nbytes, "sample data")
-            yield at, chunk
-        if hi == bounds[-1]:
-            r.done()
-
-    def reopened(lo, hi):
-        off = start + 8 * size * lo
-        with open(reader.path, "rb") as fh:
-            r = _Reader(fh, reader.path)
-            if r.ident != reader.ident:
-                raise FormatError(f"{reader.path}: file changed while reading sample data", off)
-            fh.seek(off)
-            r.off = off
-            yield from read(r, lo, hi)
-
-    pairs = list(zip(bounds, bounds[1:]))
-    return [read(reader, *pairs[0])] + [reopened(lo, hi) for lo, hi in pairs[1:]]
+    _run_split([partial(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def load_dataset(path) -> Dataset:
     """Read the binary dataset format; raises FormatError with a byte offset.
 
     The sample data is read once, straight from the file into the array the
-    returned Dataset holds, in the ranges of `kernels._ranges`, one thread
-    each; each chunk is checked entry by entry as it lands. The first fault
-    in file order is raised, a non-finite entry at its own offset.
+    returned Dataset holds, by `DatasetStream`'s one pass, which checks each
+    chunk entry by entry as it lands. The first fault in file order is
+    raised, a non-finite entry at its own offset.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh, path)
-        dims, labels = _read_dataset_head(reader)
-        n, size = labels.size, math.prod(dims)
-        reader._need(8 * n * size, "sample data")
-        X = np.empty((n,) + dims, dtype="<f8")
-        _run_split([partial(_drain, r) for r in _sample_ranges(reader, dims, _ranges(n, size), X)])
-    return Dataset._checked(X, labels)
+    with DatasetStream(path) as stream:
+        X = stream._read()
+    return Dataset._checked(X, stream.y)
 
 
 class DatasetStream:
@@ -421,17 +374,25 @@ class DatasetStream:
     closes it.
 
     Opening reads the header and the labels (`feature_dims`, `n`, `y`).
-    `ranges()` then gives one iterator per range of `kernels._ranges`, each
-    with a reader of its own and one buffer per range of
+    `_read` is then the one pass over the samples, which `load_dataset` and
+    `model.margins` make. It checks that the file holds the declared sample
+    data before it allocates anything, and cuts the samples into the ranges
+    of `kernels._ranges`, one thread each: the first reads through this
+    stream's handle, each other through a handle of its own, checked to read
+    the same file. A range reads its samples chunk by chunk,
     `max(1, _FINITE_BLOCK // prod(dims))` samples (512 KiB, so a chunk fits
-    in L2). A range reads its samples into its buffer chunk by chunk, checks
-    each chunk entry by entry and yields (index of its first sample, chunk);
-    a chunk is valid until the range's next is read. The ranges may run on
-    threads of their own. `chunks()` is the one range of all samples. The
-    pass of `model.margins` (`_contracted`) checks each chunk through the
-    products it contracts it into instead, and scans only a chunk with a
-    non-finite product. Every fault raises `load_dataset`'s message for the
-    file. A second pass raises ValueError: open the file again instead.
+    in L2), and the range that ends the samples checks that the file ends
+    there too.
+
+    Without a product the chunks land in a new X, are each checked entry by
+    entry, and X is returned. With `product(lo, chunk)`, the chunks are read
+    into one buffer per range, a chunk valid until the range's next, and
+    each chunk is checked through the products `product` contracts it into:
+    a NaN or inf entry makes the product of its row NaN or inf, so only a
+    chunk with a non-finite product is scanned; a chunk that passes the scan
+    overflowed in its products, which stand. Either way the first fault in
+    file order raises FormatError, a non-finite entry at its own offset. A
+    second pass raises ValueError: open the file again instead.
     """
 
     def __init__(self, path):
@@ -444,7 +405,7 @@ class DatasetStream:
             raise
         self.n = labels.size
         self.y = labels
-        self._read = False
+        self._spent = False
 
     def __enter__(self):
         return self
@@ -452,25 +413,41 @@ class DatasetStream:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def ranges(self):
-        return self._pass(_ranges(self.n, math.prod(self.feature_dims)))
-
-    def chunks(self):
-        return self._pass([0, self.n])[0]
-
-    def _contracted(self, product):
-        """`ranges()`, with each chunk handed to `product(lo, chunk)` as it is
-        read and checked through the products it returns (`_sample_ranges`):
-        the pass `model.margins` makes."""
-        return self._pass(_ranges(self.n, math.prod(self.feature_dims)), product)
-
-    def _pass(self, bounds, product=None):
-        reader = self._reader
-        if self._read:
+    def _read(self, product=None):
+        reader, dims = self._reader, self.feature_dims
+        if self._spent:
             raise ValueError(f"{reader.path}: stream was already read; it gives one pass")
-        self._read = True
-        reader._need(8 * self.n * math.prod(self.feature_dims), "sample data")
-        return _sample_ranges(reader, self.feature_dims, bounds, product=product)
+        self._spent = True
+        size = math.prod(dims)
+        reader._need(8 * self.n * size, "sample data")
+        X = np.empty((self.n,) + dims, dtype="<f8") if product is None else None
+        per, start = max(1, _FINITE_BLOCK // size), reader.off
+
+        def read(r, lo, hi):
+            buf = None if product is None else np.empty((min(per, hi - lo),) + dims, dtype="<f8")
+            for at in range(lo, hi, per):
+                k = min(per, hi - at)
+                chunk = X[at : at + k] if buf is None else buf[:k]
+                r._fill(memoryview(chunk).cast("B"), "sample data")
+                if product is None or not np.isfinite(product(at, chunk)).all():
+                    r.check(chunk, r.off - chunk.nbytes, "sample data")
+            if hi == self.n:
+                r.done()
+
+        def task(lo, hi):
+            if not lo:
+                return read(reader, lo, hi)
+            off = start + 8 * size * lo
+            with open(reader.path, "rb") as fh:
+                r = _Reader(fh, reader.path)
+                if r.ident != reader.ident:
+                    raise FormatError(f"{reader.path}: file changed while reading sample data", off)
+                fh.seek(off)
+                r.off = off
+                read(r, lo, hi)
+
+        _each_range(self.n, size, task)
+        return X
 
 
 def save_params(params, path):

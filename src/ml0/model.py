@@ -10,11 +10,10 @@ the smooth loss, infeasible points score +inf.
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .kernels import _drain, _run_split, _stacked, contract_down, contract_samples
+from .kernels import _stacked, contract_down, contract_samples
 from .tensor import DenseTensor, _frozen, _row_dots, _support, contract_full
 
 SQRT2 = math.sqrt(2.0)
@@ -129,15 +128,15 @@ def margins(params: ModelParams, data) -> np.ndarray:
     """Margins for every sample of a `Dataset` or of an open `DatasetStream`.
 
     The block lengths are checked before any sample byte is read.
-    `data._contracted` cuts the samples into the ranges of `kernels._ranges`:
-    one per usable core from `kernels._SPLIT_MIN_PASS` elements in all, else
+    `data._read` cuts the samples into the ranges of `kernels._ranges`: one
+    per usable core from `kernels._SPLIT_MIN_PASS` elements in all, else
     one. Each range runs on a thread of its own, the first on this one, and
-    reads its chunks, contracting each with the last block while in cache
-    into its rows of the partial P; it calls only private helpers and numpy.
-    After every thread has joined, the first fault in file order is raised,
-    and P is contracted with the other blocks. Every sample gets its own
-    product, so its margin has the same bits however the samples are
-    chunked or cut into ranges.
+    hands its chunks to a product that contracts each with the last block
+    while in cache into its rows of the partial P; it calls only private
+    helpers and numpy. After every thread has joined, the first fault in
+    file order is raised, and P is contracted with the other blocks. Every
+    sample gets its own product, so its margin has the same bits however
+    the samples are chunked or cut into ranges.
 
     A stream's chunk is checked through those products: only a chunk with a
     non-finite product is scanned, entry by entry, and a non-finite entry
@@ -155,15 +154,12 @@ def margins(params: ModelParams, data) -> np.ndarray:
     blocks on their supports: the products `tensor.contract_full` gives a
     sample from its selected rows alone. A pass reads every row anyway, and
     the row products cost less than gathering the rows chunk by chunk. An
-    empty support makes every margin the bias; the samples are still read
-    and checked entry by entry (`data.ranges()`).
+    empty support makes every margin the bias; the pass is the same, so a
+    stream's samples are still checked, through their products.
     """
     _check_shapes(params.blocks, data)
     w = params.blocks[-1]
     rows, rest = _support(params.blocks, math.prod(data.feature_dims))
-    if rest is None:
-        _run_split([partial(_drain, chunks) for chunks in data.ranges()])
-        return np.zeros(data.n) + params.bias
     P = np.empty((data.n,) + data.feature_dims[:-1])
     product = _stacked if rows is None else _row_dots
 
@@ -172,13 +168,9 @@ def margins(params: ModelParams, data) -> np.ndarray:
         product(chunk, w, out)
         return out
 
-    def run(chunks):
-        # A non-finite entry's products are NaN or inf by design, and its
-        # range raises for it; an overflow still warns.
-        with np.errstate(invalid="ignore"):
-            _drain(chunks)
-
-    _run_split([partial(run, chunks) for chunks in data._contracted(contract)])
+    data._read(contract)
+    if rest is None:
+        return np.zeros(data.n) + params.bias
     if rows is not None:
         P = P.reshape(data.n, -1).take(rows, axis=1).reshape((data.n,) + tuple(v.size for v in rest))
     for v in reversed(rest):

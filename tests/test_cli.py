@@ -362,7 +362,7 @@ class TestEval:
         (tmp_path / "w.ml0w.json").write_text(
             json.dumps({"lambda": [2e-4, 2e-4], "sparsity": [len(rows), dims[1]]}))
         read, contracted, events = [], [], []
-        contracted_ranges, row_dots = ml0.DatasetStream._contracted, ml0.model._row_dots
+        read_samples, row_dots = ml0.DatasetStream._read, ml0.model._row_dots
 
         def recorded(product):
             def handed(lo, chunk):
@@ -376,8 +376,8 @@ class TestEval:
             events.append("contracted")
             return row_dots(arr, v, out)
 
-        monkeypatch.setattr(ml0.DatasetStream, "_contracted",
-                            lambda stream, product: contracted_ranges(stream, recorded(product)))
+        monkeypatch.setattr(ml0.DatasetStream, "_read",
+                            lambda stream, product: read_samples(stream, recorded(product)))
         monkeypatch.setattr(ml0.model, "_row_dots", recording)
         rc = main(["eval", str(model), str(path)])
         monkeypatch.undo()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ml0.data
+import ml0.kernels
 import ml0.tensor
 from ml0 import (
     Dataset,
@@ -550,6 +551,9 @@ class TestDatasetIO:
             def fileno(self):
                 return self.fh.fileno()
 
+            def close(self):
+                self.fh.close()
+
             def readinto(self, buf):
                 view = memoryview(buf)
                 return self.fh.readinto(view[: len(view) // 2] if len(view) > 64 else view)
@@ -563,7 +567,31 @@ class TestDatasetIO:
 
 class TestDatasetStream:
     """The streaming reader of a dataset file: header and labels on open,
-    then the sample data once, in chunks of one reused buffer."""
+    then the sample data once, in chunks of one reused buffer per range,
+    through the products `margins` contracts them into."""
+
+    @pytest.fixture
+    def two_ranges(self, monkeypatch):
+        """Sets the pass of n samples to cut into `_ranges(n, size)` with up
+        to two ranges, or one; returns the setter."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        return lambda ranges: monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS",
+                                                  1 if ranges == 2 else 1 << 62)
+
+    @staticmethod
+    def handed(monkeypatch):
+        """(lo, copy, chunk) for each chunk the stream hands to the product of
+        `margins`, sorted by lo."""
+        seen, real = [], ml0.DatasetStream._read
+
+        def recorded(stream, product):
+            def hand(lo, chunk):
+                seen.append((lo, chunk.copy(), chunk))
+                return product(lo, chunk)
+            return real(stream, hand)
+
+        monkeypatch.setattr(ml0.DatasetStream, "_read", recorded)
+        return seen
 
     def test_header_known_before_the_samples(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -575,33 +603,59 @@ class TestDatasetStream:
             assert stream.y.tobytes() == ds.y.tobytes()
 
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 20])
-    def test_chunks_cover_the_samples_once_in_one_buffer(self, tmp_path, monkeypatch, n):
+    def test_chunks_cover_the_samples_once_in_one_buffer(self, tmp_path, monkeypatch, two_ranges,
+                                                         n):
+        """In one range and in two, each range's chunks start every 7
+        samples from its first and share one buffer, which no other range
+        shares; `margins` equals the in-memory margins bitwise."""
         monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 7 * 6)  # 7 samples of 3x2
         rng = np.random.default_rng(20)
         ds = Dataset(rng.standard_normal((n, 3, 2)), rng.choice([-1.0, 1.0], n))
+        params = ModelParams(blocks=(rng.standard_normal(3), rng.standard_normal(2)), bias=0.1)
         path = tmp_path / "t.ml0t"
         save_dataset(ds, path)
-        with DatasetStream(path) as stream:
-            chunks = [(lo, chunk.copy(), chunk) for lo, chunk in stream.chunks()]
-        assert [lo for lo, _, _ in chunks] == list(range(0, n, 7))
-        assert np.concatenate([c for _, c, _ in chunks]).tobytes() == ds.X.tobytes()
-        first = chunks[0][2]
-        assert all(np.shares_memory(view, first) for _, _, view in chunks)
-        assert len(first) == min(n, 7)
+        seen = self.handed(monkeypatch)
+        for ranges in (1, 2):
+            two_ranges(ranges)
+            bounds = ml0.kernels._ranges(n, 6)
+            del seen[:]
+            with DatasetStream(path) as stream:
+                assert margins(params, stream).tobytes() == margins(params, ds).tobytes()
+            chunks = sorted(seen, key=lambda c: c[0])
+            assert [lo for lo, _, _ in chunks] == [
+                at for lo, hi in zip(bounds, bounds[1:]) for at in range(lo, hi, 7)]
+            assert np.concatenate([c for _, c, _ in chunks]).tobytes() == ds.X.tobytes()
+            for lo, hi in zip(bounds, bounds[1:]):
+                mine = [view for at, _, view in chunks if lo <= at < hi]
+                assert len(mine[0]) == min(hi - lo, 7)
+                assert all(np.shares_memory(view, mine[0]) for view in mine)
+                assert not any(np.shares_memory(view, mine[0])
+                               for at, _, view in chunks if not lo <= at < hi)
 
     def test_a_sample_larger_than_a_chunk_is_one_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 4)
         ds = Dataset(np.arange(18.0).reshape(3, 3, 2), [1.0, -1.0, 1.0])
         path = tmp_path / "t.ml0t"
         save_dataset(ds, path)
+        seen = self.handed(monkeypatch)
         with DatasetStream(path) as stream:
-            assert [chunk.shape for _, chunk in stream.chunks()] == [(1, 3, 2)] * 3
+            margins(ModelParams(blocks=(np.ones(3), np.ones(2)), bias=0.0), stream)
+        assert [(lo, chunk.shape) for lo, chunk, _ in seen] == [(i, (1, 3, 2)) for i in range(3)]
 
-    def test_file_closed_on_every_path(self, tmp_path, monkeypatch):
-        good, bad_magic, short = (tmp_path / f"{name}.ml0t" for name in ("t", "magic", "short"))
-        save_dataset(Dataset(np.ones((2, 3)), [1.0, -1.0]), good)
+    def test_file_closed_on_every_path(self, tmp_path, monkeypatch, two_ranges):
+        """Through `margins` over a stream and through `load_dataset`, in two
+        ranges: a good file, a bad magic, a file short of its sample data and
+        one with trailing bytes, which the reopened last range finds. Each
+        handle opened, the reopened ones included, is closed."""
+        good, bad_magic, short, trailing = (tmp_path / f"{name}.ml0t"
+                                            for name in ("t", "magic", "short", "trailing"))
+        save_dataset(Dataset(np.ones((4, 3)), [1.0, -1.0, 1.0, -1.0]), good)
         bad_magic.write_bytes(b"NOPE" + b"\x00" * 20)
         short.write_bytes(good.read_bytes()[:-1])
+        trailing.write_bytes(good.read_bytes() + b"\x00")
+        two_ranges(2)
+        assert len(ml0.kernels._ranges(4, 3)) == 3
+        params = ModelParams(blocks=(np.ones(3),), bias=0.0)
         opened = []
         real_open = open
 
@@ -609,15 +663,20 @@ class TestDatasetStream:
             opened.append(real_open(*args))
             return opened[-1]
 
+        def streamed(path):
+            with DatasetStream(path) as stream:
+                return margins(params, stream)
+
         monkeypatch.setattr(ml0.data, "open", recording, raising=False)
-        with DatasetStream(good) as stream:
-            list(stream.chunks())
-        with pytest.raises(FormatError, match="ML0T"):
-            DatasetStream(bad_magic)
-        with pytest.raises(FormatError, match="truncated while reading sample data"):
-            with DatasetStream(short) as stream:
-                next(stream.chunks())
-        assert len(opened) == 3 and all(fh.closed for fh in opened)
+        for read in (streamed, load_dataset):
+            read(good)
+            with pytest.raises(FormatError, match="ML0T"):
+                read(bad_magic)
+            with pytest.raises(FormatError, match="truncated while reading sample data"):
+                read(short)
+            with pytest.raises(FormatError, match="trailing bytes"):
+                read(trailing)
+        assert len(opened) == 2 * (2 + 1 + 1 + 2) and all(fh.closed for fh in opened)
 
     def test_a_second_pass_is_refused(self, tmp_path):
         """A second pass over one open stream used to read past the sample
@@ -629,10 +688,8 @@ class TestDatasetStream:
             np.testing.assert_array_equal(margins(params, stream), [2.0, 2.0, 2.0])
             with pytest.raises(ValueError, match="already read"):
                 margins(params, stream)
-        with DatasetStream(path) as stream:
-            next(stream.chunks())
             with pytest.raises(ValueError, match="already read"):
-                next(stream.chunks())
+                stream._read()
 
 
 class TestParamsIO:

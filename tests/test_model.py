@@ -568,8 +568,7 @@ class TestStreamedMargins:
         path, params = self.saved(tmp_path, np.random.default_rng(43), 4, (3, 2))
         other = ModelParams(blocks=(np.ones(2), np.ones(3)), bias=0.0)
         with DatasetStream(path) as stream:
-            monkeypatch.setattr(stream, "ranges", lambda: pytest.fail("read samples"))
-            monkeypatch.setattr(stream, "_contracted", lambda product: pytest.fail("read samples"))
+            monkeypatch.setattr(stream, "_read", lambda product: pytest.fail("read samples"))
             with pytest.raises(ValueError, match="do not match sample dims"):
                 margins(other, stream)
 
@@ -1051,6 +1050,33 @@ class TestCheckedThroughProducts:
                                                 problem.sparsity)}
 
     @pytest.mark.parametrize("ranges", [1, 2])
+    def test_an_overflow_into_a_nan_margin_fails_eval_naming_the_file(self, tmp_path, capsys,
+                                                                      monkeypatch, ranges):
+        """Below the gather cutoff, sample 1 of 1e308 entries overflows in
+        every row product, and the zeros of the first block turn those infs
+        into a NaN margin (inf*0), as `predict` gives it. `ml0 eval` exits 1
+        naming the file, the count of NaN margins and the overflow."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
+        rng = np.random.default_rng(85)
+        X = rng.standard_normal((6, 4, 5))
+        X[1] = 1e308
+        path = tmp_path / "huge.ml0t"
+        write_samples(path, X)
+        params = ModelParams(blocks=(np.array([0.0, 0.7, 1.2, 0.0]), rng.uniform(0.5, 1.5, 5)),
+                             bias=0.1)
+        model = tmp_path / "w.ml0w"
+        save_params(params, model)
+        (tmp_path / "w.ml0w.json").write_text(json.dumps({"lambda": [0.0, 0.0], "sparsity": [2, 5]}))
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert np.isnan(predict(params, load_dataset(path).sample(1)))
+            rc = ml0.cli.main(["eval", str(model), str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {path}: 1 of 6 margins are NaN: products of "
+                                           "its finite samples overflowed\n")
+
+    @pytest.mark.parametrize("ranges", [1, 2])
     def test_an_overflow_before_a_nan_raises_at_the_nan(self, tmp_path, monkeypatch, ranges):
         """Chunks 0 and 2 overflow in their products and pass the scan; the
         NaN in chunk 4 fails at its offset."""
@@ -1112,23 +1138,57 @@ class TestCheckedThroughProducts:
             assert caught == []
 
     @pytest.mark.parametrize("ranges", [1, 2])
-    def test_the_public_passes_hand_out_only_checked_chunks(self, tmp_path, monkeypatch, ranges):
-        """`chunks()` and `ranges()` have no products to check through: each
-        chunk is checked entry by entry before it is yielded, so the chunk
-        holding the NaN never reaches the caller."""
+    @pytest.mark.parametrize("gather", ["below", "above"])
+    def test_an_empty_support_gives_the_bias_after_one_checked_pass(self, tmp_path, monkeypatch,
+                                                                    ranges, gather):
+        """A zero leading block makes every margin the bias, in memory and
+        streamed; above the cutoff its support is empty. The stream still
+        reads the file once, with one open per range, and a NaN or inf in
+        any row of any sample fails at its offset."""
         monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
         monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", 1 if ranges == 2 else 1 << 62)
-        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 6)  # a sample a chunk
-        X = np.random.default_rng(83).standard_normal((4, 2, 3))
-        X[2, 0, 0] = np.nan
+        monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1 if gather == "above" else 1 << 62)
+        monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 2 * 3 * 4 * 5)  # 2 samples a chunk
+        rng = np.random.default_rng(84)
+        n, dims = 6, (3, 4, 5)
+        assert len(ml0.kernels._ranges(n, math.prod(dims))) - 1 == ranges
+        X = rng.standard_normal((n,) + dims)
         path = tmp_path / "t.ml0t"
-        message, offset = first_fault(path, X, write_samples(path, X))
-        for public in ("chunks", "ranges"):
-            seen = []
-            with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
-                passes = stream.chunks() if public == "chunks" else stream.ranges()
-                for chunks in [passes] if public == "chunks" else passes:
-                    for lo, _ in chunks:
-                        seen.append(lo)
-            assert (str(err.value), err.value.offset) == (message, offset)
-            assert seen == [0, 1]
+        start = write_samples(path, X)
+        fills, opens, real_fill, real_open = [], [], ml0.data._Reader._fill, open
+
+        def fill(reader, buf, what):
+            fills.append((reader.off, len(buf)))
+            real_fill(reader, buf, what)
+
+        def opening(*args):
+            opens.append(args[0])
+            return real_open(*args)
+
+        want = np.zeros(n) + 0.5
+        for zero in (0, 1):
+            blocks = [rng.standard_normal(d) for d in dims]
+            blocks[zero] = np.zeros(dims[zero])
+            params = ModelParams(blocks=tuple(blocks), bias=0.5)
+            if gather == "above":
+                assert ml0.tensor._support(params.blocks, X[0].size)[1] is None
+            assert margins(params, Dataset(X, np.ones(n))).tobytes() == want.tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(ml0.data._Reader, "_fill", fill)
+                m.setattr(ml0.data, "open", opening, raising=False)
+                del fills[:], opens[:]
+                with DatasetStream(path) as stream:
+                    assert margins(params, stream).tobytes() == want.tobytes()
+            assert len(opens) == ranges
+            ends = [0] + [at + size for at, size in sorted(fills)]
+            assert [at for at, _ in sorted(fills)] == ends[:-1] and ends[-1] == path.stat().st_size
+            for row in range(n * dims[0] * dims[1]):
+                bad = X.copy()
+                bad.reshape(-1, dims[-1])[row, rng.integers(dims[-1])] = rng.choice(
+                    [np.nan, np.inf, -np.inf])
+                write_samples(path, bad)
+                message, offset = first_fault(path, bad, start)
+                with DatasetStream(path) as stream, pytest.raises(FormatError) as err:
+                    margins(params, stream)
+                assert (str(err.value), err.value.offset) == (message, offset)
+            write_samples(path, X)

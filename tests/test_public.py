@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import ml0
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCE = Path(ml0.__file__).resolve().parent
 
 
 def test_public_names_resolve_and_the_readme_example_runs(tmp_path, monkeypatch):
@@ -16,3 +18,24 @@ def test_public_names_resolve_and_the_readme_example_runs(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md (Library use)", "exec"), {})
     assert (tmp_path / "test.ml0t").is_file()
+
+
+def test_every_private_function_and_method_is_used_in_the_package():
+    """A private module-level function or private method (not a dunder) is
+    named in src/ml0 outside its own definition, as a name or an attribute,
+    so a fold cannot leave a dead helper behind."""
+    defs, uses = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        defs += [(path.name, node) for scope in scopes for node in scope.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.endswith("__")]
+        uses += [(path.name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    assert defs
+    unused = [f"{name}:{node.lineno} {node.name}" for name, node in defs
+              if not any(used == node.name and not (where == name and node.lineno <= line
+                                                    <= node.end_lineno)
+                         for where, line, used in uses)]
+    assert unused == []
