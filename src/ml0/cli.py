@@ -35,6 +35,7 @@ from .model import Problem, margins, objective_from_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
+MONOTONE = "only apalm+ and bpgd keep the recorded objective nonincreasing"
 
 
 def _flag_fields(cls):
@@ -288,7 +289,7 @@ def build_parser():
     train.add_argument("-o", "--output", required=True, help="weights file to write")
     train.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
     train.add_argument("--schedule", choices=sorted(SCHEDULE_NAMES), default="apalm+",
-                       help="momentum schedule (default: apalm+)")
+                       help=f"momentum schedule (default: apalm+); {MONOTONE}")
     _add_solver_flags(train)
 
     ev = subs.add_parser("eval", help="score a weights file on a dataset")
@@ -299,7 +300,7 @@ def build_parser():
     bench = subs.add_parser("bench", help="compare schedules across repeated seeded runs")
     bench.add_argument("dataset", help="dataset file")
     bench.add_argument("--schedules", default="apalm+,bpgd",
-                       help="comma-separated subset of apalm+,apalm,bpgd")
+                       help=f"comma-separated subset of apalm+,apalm,bpgd; {MONOTONE}")
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--train-frac", type=float, default=0.8)
     bench.add_argument("-o", "--output", help="report CSV path (default: stdout)")

@@ -1,7 +1,6 @@
 """Datasets: synthetic generation, splitting, and binary persistence."""
 
 import math
-import mmap
 import operator
 import os
 import struct
@@ -133,9 +132,10 @@ def generate_synthetic(cfg: SyntheticConfig):
     reflects the bilinear score across the class boundary (clipping scores
     onto the boundary instead leaves the classes barely distinguishable).
     The +margin class gets label +1, the -margin class label -1. Classes are
-    drawn in that order into the two halves of one array, whose rows are
-    then shuffled by the seed in place, so the dataset holds that one array.
-    The RNG is numpy's PCG64 so runs reproduce across platforms.
+    drawn in that order into the two halves of one array. numpy's
+    `Generator.shuffle` then moves its rows in place, each sample one void
+    item, and the labels under the same draws, so the dataset holds that one
+    array. The RNG is numpy's PCG64 so runs reproduce across platforms.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     v1 = rng.uniform(0.0, 1.0, size=cfg.block)
@@ -158,32 +158,11 @@ def generate_synthetic(cfg: SyntheticConfig):
         deficit = np.where(raw != 0.0, 2.0 * raw + np.copysign(1e-9, raw), 0.0)
         corner += deficit[:, None, None] * direction
     y = np.concatenate([np.ones(per), -np.ones(per)])
-    order = rng.permutation(2 * per)
-    _permute_rows(X, order)
-    return Dataset(X, y[order]), (v1, v2)
-
-
-def _permute_rows(X, order):
-    """Set X[:] = X[order] in place for a C-contiguous X, one band of columns
-    of the (n, m) view at a time, gathered in chunks of about `_FINITE_BLOCK`
-    elements: the only extra memory is one band (about 1/16 of X, at any
-    shape) and one chunk.
-
-    The band is an anonymous mapping of its own, unmapped when it is freed.
-    From malloc it would raise glibc's mmap threshold (freeing a mapped
-    block of up to 32 MiB does that), and later blocks below the new
-    threshold would stay resident on the heap after they are freed."""
-    flat = X.reshape(X.shape[0], -1)
-    n, m = flat.shape
-    width = max(1, m // 16)
-    band = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
-    rows = max(1, _FINITE_BLOCK // width)
-    for lo in range(0, m, width):
-        cols = flat[:, lo : lo + width]
-        gathered = band[:, : cols.shape[1]]
-        for r in range(0, n, rows):
-            gathered[r : r + rows] = cols[order[r : r + rows]]
-        cols[...] = gathered
+    state = rng.bit_generator.state
+    rng.shuffle(y)
+    rng.bit_generator.state = state
+    rng.shuffle(X.reshape(2 * per, -1).view(np.dtype((np.void, X[0].nbytes))).reshape(-1))
+    return Dataset(X, y), (v1, v2)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int):

@@ -230,6 +230,15 @@ class TestSettingsContract:
         for flag, text in helps.items():
             assert re.search(rf"--{flag} \S+ {re.escape(text)}( -|$)", out), flag
 
+    @pytest.mark.parametrize("command, flag", [("train", "schedule"), ("bench", "schedules")])
+    def test_schedule_help_names_the_monotone_schedules(self, command, flag, capsys):
+        # apalm may raise the objective; test_solver.py pins that on desk data.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        text = "only apalm+ and bpgd keep the recorded objective nonincreasing"
+        assert re.search(rf"--{flag} \S+ [^;]*; {re.escape(text)}( -|$)", out)
+
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_every_field_has_a_flag_with_its_default(self, command):
         parser = build_parser()

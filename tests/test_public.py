@@ -39,3 +39,23 @@ def test_every_private_function_and_method_is_used_in_the_package():
                                                     <= node.end_lineno)
                          for where, line, used in uses)]
     assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at module level is named in that module or
+    listed in its `__all__`, so a deletion cannot leave a dead import behind."""
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{node.lineno} {bound}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for bound in (alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names)
+                   if bound not in used]
+    assert unused == []

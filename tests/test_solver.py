@@ -244,6 +244,24 @@ class TestRunInvariants:
         J = [row.objective for row in result.trace]
         assert all(b <= a + 1e-10 for a, b in zip(J, J[1:]))
 
+    def test_only_apalm_may_raise_the_objective_on_desk_data(self):
+        # The CLI help names apalm+ and bpgd as the monotone schedules. On the
+        # desk data, apalm (nesterov) raises the recorded objective while every
+        # step still meets the sufficient decrease from its own base point.
+        ds, _ = generate_synthetic(
+            SyntheticConfig(rows=30, cols=30, block=5, per_class=100, margin=0.5, seed=0))
+        train, _ = split(ds, 0.8, seed=2)
+        problem = Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9))
+        init = random_init(train.feature_dims, problem.sparsity, seed=2)
+        rises = {}
+        for schedule in ("nesterov", "adaptive", "none"):
+            result = run(problem, train, init, SolverConfig(schedule=schedule, max_iters=20000))
+            J = [row.objective for row in result.trace]
+            rises[schedule] = sum(b > a for a, b in zip(J, J[1:]))
+            assert diagnose_sufficient_decrease(result).violations == 0, schedule
+        assert rises["nesterov"] >= 1
+        assert rises["adaptive"] == rises["none"] == 0
+
     def test_every_iterate_feasible(self):
         counts = []
 
