@@ -5,12 +5,12 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .kernels import _ranges, _run_split
-from .tensor import _FINITE_BLOCK, DenseTensor, _check_labels, _exclusive, _first_non_finite, _frozen
+from .kernels import _each_range
+from .tensor import (_FINITE_BLOCK, DenseTensor, _check_integer, _check_labels, _exclusive,
+                     _first_non_finite, _frozen)
 
 DATASET_MAGIC = b"ML0T"
 PARAMS_MAGIC = b"ML0W"
@@ -83,9 +83,15 @@ class Dataset:
 
     def _read(self, product):
         """`DatasetStream._read` in memory: each range of `kernels._ranges`
-        hands its samples to `product(lo, X[lo:hi])` as one chunk. The
-        samples were checked when the dataset was made."""
-        _each_range(self.n, self._X[0].size, lambda lo, hi: product(lo, self._X[lo:hi]))
+        hands its samples to `product(lo, X[lo:hi])` as one chunk, under
+        the stream's np.errstate. The samples were checked when the dataset
+        was made."""
+
+        def task(lo, hi):
+            with np.errstate(invalid="ignore"):
+                product(lo, self._X[lo:hi])
+
+        _each_range(self.n, self._X[0].size, task)
 
     def subset(self, indices):
         """The samples a 1-D selection picks, one or more, without a second check."""
@@ -114,6 +120,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rows", "cols", "block", "per_class", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.block > min(self.rows, self.cols):
             raise ValueError("planted block must fit inside the sample matrix")
         if self.block < 1 or self.rows < 1 or self.cols < 1:
@@ -320,21 +328,6 @@ def _read_dataset_head(reader):
     return dims, labels
 
 
-def _each_range(n, size, task):
-    """Call task(lo, hi) for each range of `kernels._ranges(n, size)`, the
-    first on this thread and each other on a thread of its own
-    (`kernels._run_split`), under np.errstate(invalid="ignore"): a
-    non-finite entry makes its products NaN by design and raises for itself;
-    an overflow still warns."""
-    bounds = _ranges(n, size)
-
-    def run(lo, hi):
-        with np.errstate(invalid="ignore"):
-            task(lo, hi)
-
-    _run_split([partial(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-
-
 def load_dataset(path) -> Dataset:
     """Read the binary dataset format; raises FormatError with a byte offset.
 
@@ -404,12 +397,15 @@ class DatasetStream:
 
         def read(r, lo, hi):
             buf = None if product is None else np.empty((min(per, hi - lo),) + dims, dtype="<f8")
-            for at in range(lo, hi, per):
-                k = min(per, hi - at)
-                chunk = X[at : at + k] if buf is None else buf[:k]
-                r._fill(memoryview(chunk).cast("B"), "sample data")
-                if product is None or not np.isfinite(product(at, chunk)).all():
-                    r.check(chunk, r.off - chunk.nbytes, "sample data")
+            # A non-finite entry makes its products NaN by design and raises
+            # for itself; an overflow still warns.
+            with np.errstate(invalid="ignore"):
+                for at in range(lo, hi, per):
+                    k = min(per, hi - at)
+                    chunk = X[at : at + k] if buf is None else buf[:k]
+                    r._fill(memoryview(chunk).cast("B"), "sample data")
+                    if product is None or not np.isfinite(product(at, chunk)).all():
+                        r.check(chunk, r.off - chunk.nbytes, "sample data")
             if hi == self.n:
                 r.done()
 

@@ -9,28 +9,29 @@ leading axes, any other axis a stacked vector-matrix product over the
 (outer, d, inner) view. A single sample does not come here: `predict`
 scores it with `tensor.contract_full`, one product per mode.
 
-Large sample arrays are split by sample. When each sample along axis 0 holds
-at least `_SPLIT_MIN_SAMPLE` elements and the contracted axis is not axis 0,
-the samples are cut into contiguous slabs, one per usable core but at least
-two samples each, and each slab runs the same `matmul` on its own thread,
-writing its rows of one preallocated output. numpy releases the interpreter
-lock inside `matmul`, so the slabs stream X in parallel. Every slab, the last
-axis included, runs as a stack of per-sample products, which OpenBLAS runs on
-the calling thread at these sizes; a multithreaded gemv would leave BLAS
-worker threads spinning on the cores the other slabs need. The path is the
-same on any core count, one slab included, so the bits do not depend on it:
-a non-last axis gives the bits of the single call, and the last axis sums
-each sample in its own gemv. Worker threads are started per call and joined
-before it returns, so no pool outlives a call or a `fork`, and they call
-nothing but numpy.
+Every pass over the samples is cut by one rule, `_ranges`: below
+`_SPLIT_MIN_PASS` elements in all it is one range, from there on one
+contiguous range of samples per usable core, with at least two samples in
+each. `_each_range` runs a pass's ranges, the first on the calling thread
+and each other on a short-lived thread of its own (`_run_split`), joined
+before it returns, so no pool outlives a call or a `fork`. numpy releases
+the interpreter lock inside `matmul`, so the ranges stream X in parallel.
+The contractions (`contract_mode` off axis 0, `contract_samples`) and the
+one read of a dataset's samples (`data.DatasetStream._read`, and
+`Dataset._read` in memory) all split this way, and no range splits again.
+
+Below the cutoff `contract_mode` is the single call. From it, a non-last
+axis writes each range's rows of one preallocated output and gives the
+bits of the single call, and the last axis is `contract_samples`, a stack
+of per-sample products that OpenBLAS runs on the calling thread at these
+sizes (a multithreaded gemv would leave BLAS worker threads spinning on the
+cores the other ranges need). Each sample is summed in its own product, so
+the bits do not depend on the core count.
 
 `contract_samples` is that last-axis path at any size, so a sample's result
 has the same bits whichever samples share the call; the model's margins
-use it. `_stacked` is the same product into a given output, never split:
-the one pass over a dataset's samples (`data.DatasetStream._read`, and
-`Dataset._read` in memory) is cut into ranges (`_ranges`), one thread each
-(`_run_split`), and the model's margins contract a range's chunks with it,
-so no thread starts another. From
+use it. `_stacked` is the same product into a given output on the calling
+thread: the model's margins contract a range's chunks with it. From
 `tensor._GATHER_MIN_SAMPLE` elements per sample, a range contracts each row
 of its chunks in a product of its own instead (`tensor._row_dots`), so a
 sample's margin can be taken from the rows its sparse weights select; the
@@ -44,35 +45,32 @@ from functools import partial
 
 import numpy as np
 
-# Below this many elements per sample a pass over X is too short for the
-# split to pay for its threads (see the timings in README "Performance").
-_SPLIT_MIN_SAMPLE = 1 << 14
-
-# Below this many elements in all, a pass that reads, checks and contracts
-# samples (`model.margins`, `data.load_dataset`) runs as one range on the
-# calling thread (see the timings in README "Performance").
+# Below this many elements in all, a pass over the samples is too short for
+# a second range to pay for its thread (see the timings in README
+# "Performance").
 _SPLIT_MIN_PASS = 1 << 21
 
 
 def _usable_cores():
-    # Without an affinity call (macOS, Windows) every contraction is one call.
+    # Without an affinity call (macOS, Windows) every pass is one range.
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _slabs(n):
-    """Sample bounds of one contiguous slab per usable core, with at least
-    two samples in each slab and at least one slab."""
-    slabs = max(1, min(_usable_cores(), n // 2))
-    return [n * i // slabs for i in range(slabs + 1)]
-
-
 def _ranges(n, size):
-    """Sample bounds of the ranges of a pass that reads, checks and contracts
-    n samples of `size` elements each: one range below `_SPLIT_MIN_PASS`
-    elements in all, `_slabs(n)` from there on."""
-    return _slabs(n) if n * size >= _SPLIT_MIN_PASS else [0, n]
+    """Sample bounds of the ranges of a pass over n samples of `size`
+    elements each: one range below `_SPLIT_MIN_PASS` elements in all, else
+    one contiguous range per usable core with at least two samples each."""
+    parts = max(1, min(_usable_cores(), n // 2)) if n * size >= _SPLIT_MIN_PASS else 1
+    return [n * i // parts for i in range(parts + 1)]
+
+
+def _each_range(n, size, task):
+    """Call task(lo, hi) for each range of `_ranges(n, size)`: the first on
+    this thread, each other on a thread of its own (`_run_split`)."""
+    bounds = _ranges(n, size)
+    _run_split([partial(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _run_split(tasks):
@@ -110,34 +108,28 @@ def contract_mode(arr, v, axis):
     shape = arr.shape
     d = shape[axis]
     last = axis == len(shape) - 1
-    if not axis or arr.size < _SPLIT_MIN_SAMPLE * shape[0]:
+    if not axis or arr.size < _SPLIT_MIN_PASS:
         if last:
             return (arr.reshape(-1, d) @ v).reshape(shape[:-1])
         out = v @ arr.reshape(math.prod(shape[:axis]), d, math.prod(shape[axis + 1 :]))
         return out.reshape(shape[:axis] + shape[axis + 1 :])
     if last:
         return contract_samples(arr, v)
-    bounds = _slabs(shape[0])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
     inner = math.prod(shape[axis + 1 :])
-    _run_split([partial(np.matmul, v, arr[lo:hi].reshape(-1, d, inner),
-                        out=out[lo:hi].reshape(-1, inner))
-                for lo, hi in zip(bounds, bounds[1:])])
+    _each_range(shape[0], arr.size // shape[0], lambda lo, hi: np.matmul(
+        v, arr[lo:hi].reshape(-1, d, inner), out=out[lo:hi].reshape(-1, inner)))
     return out
 
 
 def contract_samples(arr, v):
     """Contract the last axis of each sample along axis 0 in its own stacked
     product, so a sample's result does not depend on which other samples
-    share the call. Split into slabs like `contract_mode` at or above the
-    cutoff; returns an array of shape arr.shape[:-1]."""
-    n = arr.shape[0]
+    share the call. Cut into the ranges of `_ranges`; returns an array of
+    shape arr.shape[:-1]."""
     out = np.empty(arr.shape[:-1], dtype=np.result_type(arr, v))
-    if arr.size < _SPLIT_MIN_SAMPLE * n:
-        _stacked(arr, v, out)
-        return out
-    bounds = _slabs(n)
-    _run_split([partial(_stacked, arr[lo:hi], v, out[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    _each_range(len(arr), math.prod(arr.shape[1:]),
+                lambda lo, hi: _stacked(arr[lo:hi], v, out[lo:hi]))
     return out
 
 

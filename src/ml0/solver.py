@@ -45,6 +45,7 @@ from .model import (
     smooth_loss_from_margins,
 )
 from .prox import prox_block_step
+from .tensor import _check_integer
 
 SCHEDULES = ("adaptive", "nesterov", "none")
 
@@ -75,12 +76,12 @@ class SolverConfig:
             raise ValueError(
                 f"beta1 must lie in [0, beta_max={self.beta_max}], got {self.beta1}"
             )
-        if self.tol_obj <= 0 or self.tol_grad <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_obj", "tol_grad", "max_seconds"):
+            if not getattr(self, name) > 0:  # NaN too: it would switch off a stop
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
 
 
 @dataclass
@@ -137,7 +138,7 @@ def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
     return None
 
 
-def random_init(dims, sparsity, seed, bias=0.0):
+def random_init(dims, sparsity, seed):
     """Sparse Gaussian starting point: s_i uniformly chosen support positions
     per block filled with standard normal draws, the rest zero. PCG64 stream."""
     if len(dims) != len(sparsity):
@@ -151,7 +152,7 @@ def random_init(dims, sparsity, seed, bias=0.0):
         support = rng.choice(d, size=s, replace=False)
         w[support] = rng.standard_normal(s)
         blocks.append(w)
-    return ModelParams(blocks=tuple(blocks), bias=bias)
+    return ModelParams(blocks=tuple(blocks), bias=0.0)
 
 
 def _objective_at(X, y, blocks, bias, ridge, sparsity, partial=None):
@@ -323,14 +324,15 @@ class DecreaseReport:
     last_decile_gap: float
 
 
-def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None, tol=1e-9):
+def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None):
     """Audit J(new) <= J(base) - rho * gap^2 over a completed run.
 
     When rho_hat is not given it is estimated per iteration from the recorded
     step-size constants as (gamma - 1) / gamma * min_tau / 2, the guaranteed
     margin between each step-size constant and the true smoothness bound.
-    Also summarizes the gap decay: mean gap over the first and last tenth of
-    the iterations.
+    An iteration counts as a violation when its slack exceeds 1e-9. Also
+    summarizes the gap decay: mean gap over the first and last tenth of the
+    iterations.
     """
     gamma = result.problem.gamma
     gaps = [row.gap for row in result.trace]
@@ -340,7 +342,7 @@ def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None, tol=1e-9):
         rho = rho_hat if rho_hat is not None else (gamma - 1.0) / gamma * row.min_tau / 2.0
         slack = row.objective - (row.base_objective - rho * row.gap**2)
         worst = max(worst, slack)
-        if slack > tol:
+        if slack > 1e-9:
             violations += 1
     decile = max(1, len(gaps) // 10)
     return DecreaseReport(

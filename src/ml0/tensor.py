@@ -11,7 +11,7 @@ _F64 = np.dtype(np.float64)
 # reads only the rows the leading weight blocks select: one thread reads the
 # bytes at about the same rate gathered or whole, so reading a fraction of
 # them wins. Below, the gather costs more than the bytes it saves (see README
-# "Performance"). The size of `kernels._SPLIT_MIN_SAMPLE`.
+# "Performance").
 _GATHER_MIN_SAMPLE = 1 << 14
 
 
@@ -44,6 +44,13 @@ def _check_finite(a):
     """Raise unless every entry of a contiguous array is finite."""
     if _first_non_finite(a) is not None:
         raise ValueError("entries must be finite")
+
+
+def _check_integer(name, value):
+    """Raise unless `value` is an integer, as `operator.index` takes it; a
+    bool is not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_labels(y):

@@ -90,6 +90,16 @@ class TestGen:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("flag", ["--tol-obj", "--tol-grad", "--max-seconds"])
+    def test_nan_setting_exits_one_naming_the_field(self, toy_dataset, tmp_path, capsys, flag):
+        """A NaN tolerance or budget would switch its stop off without a word."""
+        model = tmp_path / "m.ml0w"
+        rc = main(["train", str(toy_dataset), "-o", str(model), flag, "nan", "--max-iters", "5"])
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be positive, got nan\n"
+        assert not model.exists()
+
     def test_outputs_and_config_echo(self, toy_dataset, tmp_path, capsys):
         model = tmp_path / "m.ml0w"
         rc = main([

@@ -216,6 +216,12 @@ class TestGenerateSynthetic:
         ({"margin": -0.5}, "margin"),
         ({"margin": float("inf")}, "margin must be positive and finite, got inf"),
         ({"margin": float("nan")}, "margin must be positive and finite, got nan"),
+        # Counts that are not integers would fail deep inside numpy.
+        ({"rows": 30.0}, "rows must be an integer, got 30.0"),
+        ({"cols": "30"}, "cols must be an integer, got '30'"),
+        ({"block": 5.5}, "block must be an integer, got 5.5"),
+        ({"per_class": True}, "per_class must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_invalid_config_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):

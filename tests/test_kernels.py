@@ -67,8 +67,8 @@ def run_split_calls(monkeypatch):
 
 @pytest.fixture
 def split_calls(run_split_calls, monkeypatch):
-    """As run_split_calls, with the split forced on samples of any size."""
-    monkeypatch.setattr(kernels, "_SPLIT_MIN_SAMPLE", 1)
+    """As run_split_calls, with the split forced on passes of any size."""
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1)
     return run_split_calls
 
 
@@ -169,22 +169,42 @@ def test_bits_do_not_depend_on_core_count(split_calls, monkeypatch):
                     np.testing.assert_array_equal(outs[1], _single(arr, v, axis))
 
 
-def test_default_cutoff_splits_only_large_samples(run_split_calls, monkeypatch):
+def test_one_cutoff_splits_only_large_passes(run_split_calls, monkeypatch):
+    """Below `_SPLIT_MIN_PASS` elements in all a contraction is the single
+    call; from there on, one range per core off axis 0. Desk and score
+    training X (160x30x30) and a few large samples (12x130x130) stay whole;
+    2400x30x30 and the large X (800x200x200) take the ranges."""
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
-    calls = run_split_calls
-    # 30x30 samples (desk and score scale) and 120x120 ones (14,400 elements)
-    # stay whole; 130x130 samples (16,900) take the slab path, one slab per
-    # two samples up to one per core.
-    cases = [((40, 30, 30), 0), ((4, 120, 120), 0), ((3, 130, 130), 1), ((4, 130, 130), 2)]
-    for shape, slabs in cases:
-        arr = np.ones(shape)
-        for axis, d in enumerate(shape):
-            before = len(calls)
-            kernels.contract_mode(arr, np.ones(d), axis)
-            assert calls[before:] == ([slabs] if slabs and axis > 0 else []), (shape, axis)
-    assert kernels._slabs(801) == [0, 400, 801]
-    assert kernels._slabs(3) == [0, 3]
-    assert kernels._slabs(1) == [0, 1]
+    cases = {(160, 30, 30): [0, 160], (12, 130, 130): [0, 12],
+             (2400, 30, 30): [0, 1200, 2400], (800, 200, 200): [0, 400, 800]}
+    recorded = []
+    with monkeypatch.context() as m:
+        # Count the ranges without running them, so the calloc'd zeros of
+        # the large X are never touched.
+        m.setattr(kernels, "_run_split", lambda tasks: recorded.append(len(tasks)))
+        for shape, bounds in cases.items():
+            assert kernels._ranges(shape[0], shape[1] * shape[2]) == bounds
+            arr = np.zeros(shape)
+            for axis, d in enumerate(shape):
+                del recorded[:]
+                kernels.contract_mode(arr, np.ones(d), axis)
+                assert recorded == ([len(bounds) - 1] if len(bounds) > 2 and axis else []), shape
+    # Run for real: off the last axis the bits of the single call, on the
+    # last axis the same bits on any core count, one core included.
+    rng = np.random.default_rng(16)
+    for shape in list(cases)[:3]:
+        arr = rng.standard_normal(shape)
+        for axis in (1, 2):
+            v = rng.standard_normal(shape[axis])
+            outs = []
+            for cores in (1, 2, 3, 4):
+                monkeypatch.setattr(kernels, "_usable_cores", lambda c=cores: c)
+                outs.append(kernels.contract_mode(arr, v, axis))
+            for out in outs[1:]:
+                assert out.tobytes() == outs[0].tobytes()
+            if axis == 1 or shape[0] < 2400:
+                assert outs[0].tobytes() == _single(arr, v, axis).tobytes()
+    assert run_split_calls == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
 def test_wrong_vector_length_raises_as_single_call(split_calls, monkeypatch):
@@ -283,8 +303,8 @@ def test_solve_above_cutoff_calls_ml0_on_main_thread(run_split_calls, monkeypatc
                 monkeypatch.setattr(mod, attr, wrappers[fn])
 
     rng = np.random.default_rng(15)
-    n, dims = 8, (130, 130)  # 16,900 elements per sample, above the cutoff
-    assert dims[0] * dims[1] >= kernels._SPLIT_MIN_SAMPLE
+    n, dims = 8, (130, 130)
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * dims[0] * dims[1])  # X takes the split
     data = ml0.Dataset(rng.standard_normal((n,) + dims), np.array([1.0, -1.0] * (n // 2)))
     problem = ml0.Problem(ridge=(1e-3, 1e-3), sparsity=(20, 20))
     init = ml0.random_init(dims, problem.sparsity, seed=3)
@@ -306,7 +326,7 @@ def test_contract_samples_bits_do_not_depend_on_the_batch(run_split_calls, monke
     """A sample's result is the same whichever samples share the call, in a
     whole call or in slabs, at any offset into a buffer."""
     if split:
-        monkeypatch.setattr(kernels, "_SPLIT_MIN_SAMPLE", 1)
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1)
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(21)
     for tail in [(7,), (130,), (3, 5), (30, 30), (5, 3, 7), (1, 6, 1)]:
@@ -320,7 +340,7 @@ def test_contract_samples_bits_do_not_depend_on_the_batch(run_split_calls, monke
         shifted = np.empty(arr.size + 1)[1:].reshape(arr.shape)  # off a 16-byte boundary
         shifted[...] = arr
         assert kernels.contract_samples(shifted, v).tobytes() == out.tobytes()
-    assert bool(run_split_calls) == split
+    assert max(run_split_calls) == (2 if split else 1)
 
 
 def test_contract_mode_last_axis_above_cutoff_is_contract_samples(run_split_calls, monkeypatch):
@@ -328,6 +348,7 @@ def test_contract_mode_last_axis_above_cutoff_is_contract_samples(run_split_call
     rng = np.random.default_rng(22)
     arr = rng.standard_normal((5, 130, 130))
     v = rng.standard_normal(130)
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", arr.size)
     out = kernels.contract_mode(arr, v, 2)
     assert out.tobytes() == kernels.contract_samples(arr, v).tobytes()
     assert out.tobytes() == _per_sample(arr, v).tobytes()

@@ -545,13 +545,16 @@ class TestStreamedMargins:
         for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
             self.check_parity(*self.saved(tmp_path, rng, n, dims))
 
-    @pytest.mark.parametrize("n, dims", [(5, (300, 300)), (7, (40, 30, 20))],
+    @pytest.mark.parametrize("n, dims, ranges", [(5, (300, 300), 1), (7, (40, 30, 20), 2)],
                              ids=["one-sample-over-a-chunk", "above-split-cutoff"])
-    def test_bitwise_equal_for_large_samples(self, tmp_path, n, dims):
+    def test_bitwise_equal_for_large_samples(self, tmp_path, monkeypatch, n, dims, ranges):
         """300x300 samples exceed one default chunk, so each chunk holds one
-        sample; 40x30x20 ones are split into one slab per core in memory and
-        into one slab per two-sample chunk when streamed."""
-        assert math.prod(dims) >= ml0.kernels._SPLIT_MIN_SAMPLE
+        sample; 40x30x20 ones, with the cutoff at their pass, are cut into
+        one range per core, in memory and streamed in two-sample chunks."""
+        monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 2)
+        if ranges > 1:
+            monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_PASS", n * math.prod(dims))
+        assert len(ml0.kernels._ranges(n, math.prod(dims))) - 1 == ranges
         self.check_parity(*self.saved(tmp_path, np.random.default_rng(41), n, dims))
 
     @pytest.mark.parametrize("n, dims", [(50, (30, 30)), (9, (13,)), (6, (150, 120))],
@@ -713,10 +716,9 @@ class TestRangedPass:
     def test_threads_and_handles_end_with_the_call(self, tmp_path, ranged, opened, monkeypatch):
         """One thread and one handle per range beyond the first, all ended and
         closed when the call returns or raises. No range splits its chunks
-        again, even with the per-sample split cutoff at 1: every thread is
-        started by the calling thread (the two beyond the ranges' come from
-        contracting the partial with the first block after the join)."""
-        monkeypatch.setattr(ml0.kernels, "_SPLIT_MIN_SAMPLE", 1)
+        again, with the split cutoff at 1: every thread is started by the
+        calling thread (the two beyond the ranges' come from contracting the
+        partial with the first block after the join)."""
         monkeypatch.setattr(ml0.kernels, "_usable_cores", lambda: 3)
         monkeypatch.setattr(ml0.data, "_FINITE_BLOCK", 4 * math.prod(self.DIMS))
         handles, _ = opened
@@ -810,7 +812,9 @@ class TestRangedPass:
         with contextlib.redirect_stdout(io.StringIO()):
             assert ml0.cli.main(["eval", str(tmp_path / "w.ml0w"), str(path)]) == 0
         load_dataset(path)
-        assert len(started) == 2 and len(threads) > 4
+        # A thread for each second range: the eval's read, its contraction of
+        # the partial with the first block, and the load.
+        assert len(started) == 3 and len(threads) > 4
         assert all(t is threading.main_thread() for t in threads)
 
 
@@ -872,7 +876,6 @@ class TestGatheredSupport:
         elements) are read whole; 128x128 (16,384) and 200x200 ones are scored
         by `predict` from the rows the first block selects, and by `margins`
         from a product per row."""
-        assert ml0.tensor._GATHER_MIN_SAMPLE == ml0.kernels._SPLIT_MIN_SAMPLE
         row_dots = []
         dots = ml0.tensor._row_dots
 

@@ -59,3 +59,21 @@ def test_every_module_level_import_is_used():
                                  for alias in node.names)
                    if bound not in used]
     assert unused == []
+
+
+def test_only_kernels_imports_a_thread_or_process_module():
+    """Every pass over the samples splits through `kernels._each_range`, so
+    only kernels.py imports threading, concurrent.futures or multiprocessing,
+    at any depth, and a second split mechanism cannot come back."""
+    banned = ("threading", "concurrent", "multiprocessing")
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.name, m) for m in modules if m.split(".")[0] in banned]
+    assert found == [("kernels.py", "threading")]

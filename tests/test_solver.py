@@ -218,10 +218,18 @@ class TestRunBasics:
     @pytest.mark.parametrize("field, value, match", [
         ("beta_max", 1.0, "beta_max"),
         ("beta_max", -0.1, "beta_max"),
-        ("tol_obj", 0.0, "tolerances"),
-        ("tol_grad", -1e-4, "tolerances"),
+        ("tol_obj", 0.0, "tol_obj must be positive, got 0.0"),
+        ("tol_grad", -1e-4, "tol_grad must be positive"),
         ("max_iters", 0, "max_iters"),
         ("max_seconds", 0.0, "max_seconds"),
+        # NaN compares false, so it would switch off a stop test or the budget.
+        ("tol_obj", float("nan"), "tol_obj must be positive, got nan"),
+        ("tol_grad", float("nan"), "tol_grad must be positive, got nan"),
+        ("max_seconds", float("nan"), "max_seconds must be positive, got nan"),
+        # A count that is not an integer would fail inside `range`.
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("max_iters", 60.0, "max_iters must be an integer, got 60.0"),
+        ("max_iters", True, "max_iters must be an integer, got True"),
     ])
     def test_field_bounds(self, field, value, match):
         fields = {field: value, "beta1": 0.0} if field == "beta_max" else {field: value}
