@@ -12,10 +12,11 @@ scores it with `tensor.contract_full`, one product per mode.
 Every pass over the samples is cut by one rule, `_ranges`: below
 `_SPLIT_MIN_PASS` elements in all it is one range, from there on one
 contiguous range of samples per usable core, with at least two samples in
-each. `_each_range` runs a pass's ranges, the first on the calling thread
-and each other on a short-lived thread of its own (`_run_split`), joined
-before it returns, so no pool outlives a call or a `fork`. numpy releases
-the interpreter lock inside `matmul`, so the ranges stream X in parallel.
+each. `_each_range` runs a pass's ranges itself, the first on the calling
+thread and each other on a short-lived thread of its own, joined before it
+returns, so no pool outlives a call or a `fork`. It is the one function in
+the package that starts a thread. numpy releases the interpreter lock
+inside `matmul`, so the ranges stream X in parallel.
 The contractions (`contract_mode` off axis 0, `contract_samples`) and the
 one read of a dataset's samples (`data.DatasetStream._read`, and
 `Dataset._read` in memory) all split this way, and no range splits again.
@@ -41,7 +42,6 @@ solver's passes are unchanged.
 import math
 import os
 import threading
-from functools import partial
 
 import numpy as np
 
@@ -68,26 +68,21 @@ def _ranges(n, size):
 
 def _each_range(n, size, task):
     """Call task(lo, hi) for each range of `_ranges(n, size)`: the first on
-    this thread, each other on a thread of its own (`_run_split`)."""
+    this thread, each other on a short-lived thread of its own (none for one
+    range). Re-raises the first error in range order after every thread
+    that started has finished."""
     bounds = _ranges(n, size)
-    _run_split([partial(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-
-
-def _run_split(tasks):
-    """Call each task: the first on this thread, the rest on one short-lived
-    thread each (none for one task). Re-raises the first error in task order
-    after every thread that started has finished."""
-    errors = [None] * len(tasks)
+    errors = [None] * (len(bounds) - 1)
 
     def work(i):
         try:
-            tasks[i]()
+            task(bounds[i], bounds[i + 1])
         except Exception as exc:  # handed back to the calling thread below
             errors[i] = exc
 
     threads = []
     try:
-        for i in range(1, len(tasks)):
+        for i in range(1, len(errors)):
             t = threading.Thread(target=work, args=(i,))
             t.start()
             threads.append(t)

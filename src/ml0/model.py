@@ -59,12 +59,12 @@ class Problem:
         sparsity = tuple(map(operator.index, sparsity))
         if len(ridge) != len(sparsity):
             raise ValueError("ridge and sparsity must have one entry per block")
-        if any(r < 0 for r in ridge):
-            raise ValueError("ridge weights must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in ridge):  # NaN too
+            raise ValueError(f"ridge weights (lambda) must be nonnegative and finite, got {ridge}")
         if any(s < 1 for s in sparsity):
             raise ValueError("sparsity caps must be >= 1")
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:  # an infinite gamma makes every step size infinite
+            raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
         object.__setattr__(self, "ridge", ridge)
         object.__setattr__(self, "sparsity", sparsity)
         object.__setattr__(self, "gamma", float(self.gamma))

@@ -30,7 +30,7 @@ def project_l0(v, s):
 
 def prox_block_step(w, grad, tau, s):
     """One proximal gradient step: project w - grad/tau onto the l0 ball."""
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"step-size constant must be positive, got {tau}")
     w = np.asarray(w, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)

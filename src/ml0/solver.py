@@ -113,7 +113,7 @@ class SolveResult:
 
 def nesterov_beta(t_k):
     """One step of the classic momentum recursion; returns (t_next, beta_next)."""
-    if t_k < 1.0:
+    if not t_k >= 1.0:  # NaN too
         raise ValueError(f"t_k must be >= 1, got {t_k}")
     t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
     return t_next, (t_k - 1.0) / t_next

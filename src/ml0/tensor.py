@@ -5,7 +5,6 @@ from only the rows its sparse weights select once the sample is large."""
 import numpy as np
 
 _FINITE_BLOCK = 1 << 16  # elements per np.isfinite call; sizes a DatasetStream chunk
-_F64 = np.dtype(np.float64)
 
 # From this many elements per sample (a 128x128 sample holds 16,384), scoring
 # reads only the rows the leading weight blocks select: one thread reads the
@@ -134,49 +133,30 @@ def contract_full(t, blocks):
     w_k[S_k]; the margin is 0.0 when some S_k is empty. `model.margins` gives
     each sample of that size the same products.
 
-    A block that is already a C-contiguous float64 ndarray is used as it is;
-    any other (a list, ints) is converted first, as `np.ascontiguousarray`
-    converts it. A sample that is not a DenseTensor raises TypeError."""
+    The blocks are taken as a `ModelParams` holds them, C-contiguous float64
+    vectors, and used as they are: nothing is converted. A block count or
+    length that does not match the sample raises ValueError; a sample that
+    is not a DenseTensor raises TypeError."""
     try:
-        out = t.array
+        x = t.array
     except AttributeError:
         raise TypeError(
             f"a sample must be a DenseTensor, got {type(t).__name__}: wrap an array"
             " as ml0.DenseTensor(x), or take ds.sample(i) from a Dataset") from None
-    dims = out.shape
+    dims = x.shape
     if len(blocks) != len(dims):
         raise _shape_mismatch(blocks, dims)
-    if out.size >= _GATHER_MIN_SAMPLE:
-        return _contract_gathered(out, blocks)
-    for k in range(len(dims) - 1, -1, -1):
-        w = blocks[k]
-        if type(w) is not np.ndarray or w.dtype is not _F64 or not w.flags.c_contiguous:
-            w = np.ascontiguousarray(w, dtype=np.float64)
-        d = dims[k]
-        if w.shape != (d,):
-            raise _shape_mismatch(blocks, dims)
-        out = out.reshape(-1, d) @ w
-    return float(out[0])
-
-
-def _contract_gathered(x, blocks):
-    """`contract_full` of the sample array x from the rows `_support` selects."""
-    dims = x.shape
-    checked = []
     for w, d in zip(blocks, dims):
-        if type(w) is not np.ndarray or w.dtype is not _F64 or not w.flags.c_contiguous:
-            w = np.ascontiguousarray(w, dtype=np.float64)
         if w.shape != (d,):
             raise _shape_mismatch(blocks, dims)
-        checked.append(w)
-    rows, lead = _support(checked, x.size)
+    rows, lead = _support(blocks, x.size)
     if lead is None:
         return 0.0
     out = x.reshape(-1, dims[-1])
     if rows is None:
-        out = out @ checked[-1]
+        out = out @ blocks[-1]
     else:
-        out = _row_dots(out.take(rows, axis=0), checked[-1])
+        out = _row_dots(out.take(rows, axis=0), blocks[-1])
     for v in reversed(lead):
         out = out.reshape(-1, v.size) @ v
     return float(out[0])
@@ -221,5 +201,5 @@ def _support(blocks, size):
 
 
 def _shape_mismatch(blocks, dims):
-    shapes = [np.ascontiguousarray(b, dtype=np.float64).shape for b in blocks]
+    shapes = [np.shape(b) for b in blocks]
     return ValueError(f"block shapes {shapes} do not match sample dims {dims}")

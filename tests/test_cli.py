@@ -100,6 +100,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {name} must be positive, got nan\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--lambda", "nan", "ridge weights (lambda) must be nonnegative and finite, got (nan, nan)"),
+        ("--lambda", "inf", "ridge weights (lambda) must be nonnegative and finite, got (inf, inf)"),
+        ("--gamma", "inf", "gamma must exceed 1 and be finite, got inf"),
+    ], ids=["lambda-nan", "lambda-inf", "gamma-inf"])
+    def test_non_finite_problem_setting_exits_one_naming_it(self, toy_dataset, tmp_path, capsys,
+                                                            flag, value, want):
+        """A non-finite ridge weight would fail later at the initial objective
+        without naming its flag; an infinite gamma makes every step size
+        infinite, so no step moves and the run would stop and exit 0."""
+        model = tmp_path / "m.ml0w"
+        rc = main(["train", str(toy_dataset), "-o", str(model), flag, value, "--max-iters", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not model.exists()
+
     def test_outputs_and_config_echo(self, toy_dataset, tmp_path, capsys):
         model = tmp_path / "m.ml0w"
         rc = main([
@@ -430,8 +446,11 @@ class TestEval:
         {"sparsity": [9, 2]},
         {"sparsity": [2.7, 3]},
         {"sparsity": [True, 2]},
+        {"lambda": [math.nan, math.nan]},
+        {"lambda": [2e-4, math.inf]},
     ], ids=["no-lambda", "no-sparsity", "lambda-int", "sparsity-str", "one-entry",
-            "three-entries", "cap-over-length", "fractional-cap", "boolean-cap"])
+            "three-entries", "cap-over-length", "fractional-cap", "boolean-cap", "nan-lambda",
+            "inf-lambda"])
     def test_malformed_sidecar_exit_one(self, toy_dataset, trained, tmp_path, capsys, change):
         model = copy_with_sidecar(trained, tmp_path, change)
         rc = main(["eval", str(model), str(toy_dataset)])

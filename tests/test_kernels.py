@@ -52,24 +52,25 @@ def _single(arr, v, axis):
 
 
 @pytest.fixture
-def run_split_calls(monkeypatch):
-    """Record the slab count of every contraction that takes the split."""
+def range_calls(monkeypatch):
+    """Record the range count of every contraction that goes through
+    `kernels._each_range`."""
     calls = []
-    run_split = kernels._run_split
+    each_range = kernels._each_range
 
-    def counting(products):
-        calls.append(len(products))
-        return run_split(products)
+    def counting(n, size, task):
+        calls.append(len(kernels._ranges(n, size)) - 1)
+        return each_range(n, size, task)
 
-    monkeypatch.setattr(kernels, "_run_split", counting)
+    monkeypatch.setattr(kernels, "_each_range", counting)
     return calls
 
 
 @pytest.fixture
-def split_calls(run_split_calls, monkeypatch):
-    """As run_split_calls, with the split forced on passes of any size."""
+def split_calls(range_calls, monkeypatch):
+    """As range_calls, with the split forced on passes of any size."""
     monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1)
-    return run_split_calls
+    return range_calls
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -169,7 +170,7 @@ def test_bits_do_not_depend_on_core_count(split_calls, monkeypatch):
                     np.testing.assert_array_equal(outs[1], _single(arr, v, axis))
 
 
-def test_one_cutoff_splits_only_large_passes(run_split_calls, monkeypatch):
+def test_one_cutoff_splits_only_large_passes(range_calls, monkeypatch):
     """Below `_SPLIT_MIN_PASS` elements in all a contraction is the single
     call; from there on, one range per core off axis 0. Desk and score
     training X (160x30x30) and a few large samples (12x130x130) stay whole;
@@ -181,7 +182,8 @@ def test_one_cutoff_splits_only_large_passes(run_split_calls, monkeypatch):
     with monkeypatch.context() as m:
         # Count the ranges without running them, so the calloc'd zeros of
         # the large X are never touched.
-        m.setattr(kernels, "_run_split", lambda tasks: recorded.append(len(tasks)))
+        m.setattr(kernels, "_each_range", lambda n, size, task: recorded.append(
+            len(kernels._ranges(n, size)) - 1))
         for shape, bounds in cases.items():
             assert kernels._ranges(shape[0], shape[1] * shape[2]) == bounds
             arr = np.zeros(shape)
@@ -204,7 +206,7 @@ def test_one_cutoff_splits_only_large_passes(run_split_calls, monkeypatch):
                 assert out.tobytes() == outs[0].tobytes()
             if axis == 1 or shape[0] < 2400:
                 assert outs[0].tobytes() == _single(arr, v, axis).tobytes()
-    assert run_split_calls == [1, 2, 3, 4, 1, 2, 3, 4]
+    assert range_calls == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
 def test_wrong_vector_length_raises_as_single_call(split_calls, monkeypatch):
@@ -280,7 +282,7 @@ def test_forked_child_contracts_after_parent_split(split_calls, monkeypatch):
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
-def test_solve_above_cutoff_calls_ml0_on_main_thread(run_split_calls, monkeypatch):
+def test_solve_above_cutoff_calls_ml0_on_main_thread(range_calls, monkeypatch):
     """Every public ml0 function runs on the main thread during a solve whose
     sample array takes the split, so a single-threaded wrapper (such as a
     span tracer) around them stays consistent."""
@@ -310,7 +312,7 @@ def test_solve_above_cutoff_calls_ml0_on_main_thread(run_split_calls, monkeypatc
     init = ml0.random_init(dims, problem.sparsity, seed=3)
     result = ml0.run(problem, data, init, ml0.SolverConfig(max_iters=4))
     assert len(result.trace) >= 2
-    assert run_split_calls and set(run_split_calls) == {2}
+    assert range_calls and set(range_calls) == {2}
     assert {"contract_mode", "margin_batch", "project_l0"} <= names
     assert all(t is threading.main_thread() for t in threads)
 
@@ -322,7 +324,7 @@ def _per_sample(arr, v):
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "slabs"])
-def test_contract_samples_bits_do_not_depend_on_the_batch(run_split_calls, monkeypatch, split):
+def test_contract_samples_bits_do_not_depend_on_the_batch(range_calls, monkeypatch, split):
     """A sample's result is the same whichever samples share the call, in a
     whole call or in slabs, at any offset into a buffer."""
     if split:
@@ -340,10 +342,10 @@ def test_contract_samples_bits_do_not_depend_on_the_batch(run_split_calls, monke
         shifted = np.empty(arr.size + 1)[1:].reshape(arr.shape)  # off a 16-byte boundary
         shifted[...] = arr
         assert kernels.contract_samples(shifted, v).tobytes() == out.tobytes()
-    assert max(run_split_calls) == (2 if split else 1)
+    assert max(range_calls) == (2 if split else 1)
 
 
-def test_contract_mode_last_axis_above_cutoff_is_contract_samples(run_split_calls, monkeypatch):
+def test_contract_mode_last_axis_above_cutoff_is_contract_samples(range_calls, monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(22)
     arr = rng.standard_normal((5, 130, 130))
@@ -352,4 +354,4 @@ def test_contract_mode_last_axis_above_cutoff_is_contract_samples(run_split_call
     out = kernels.contract_mode(arr, v, 2)
     assert out.tobytes() == kernels.contract_samples(arr, v).tobytes()
     assert out.tobytes() == _per_sample(arr, v).tobytes()
-    assert run_split_calls == [2, 2]
+    assert range_calls == [2, 2]

@@ -190,6 +190,25 @@ class TestPredict:
         for i in range(n):
             assert predict(params, data.sample(i)) == m[i]
 
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (20, 30, 28)], ids=["below", "above"])
+    def test_blocks_off_the_sample_name_the_mismatch(self, dims):
+        """Below and above the gather cutoff, a `ModelParams` with one block
+        too few or too many, or a block of the wrong length, raises the same
+        message, also where a zero leading block would make the margin 0."""
+        assert (math.prod(dims) >= ml0.tensor._GATHER_MIN_SAMPLE) == (dims[0] == 20)
+        x = DenseTensor(np.ones(dims))
+        a, b, c = dims
+        for blocks in [(np.ones(a), np.ones(b)),
+                       (np.ones(a), np.ones(b), np.ones(c), np.ones(1)),
+                       (np.ones(a), np.ones(c), np.ones(b)),
+                       (np.ones(a), np.ones(b), np.ones(c + 1)),
+                       (np.zeros(a), np.ones(b), np.ones(c + 1))]:
+            params = ModelParams(blocks=blocks, bias=0.0)
+            shapes = [w.shape for w in blocks]
+            with pytest.raises(ValueError) as err:
+                predict(params, x)
+            assert str(err.value) == f"block shapes {shapes} do not match sample dims {dims}"
+
     @pytest.mark.parametrize("x", [np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]],
                              ids=["ndarray", "nested-list"])
     def test_a_raw_sample_is_refused_with_the_way_to_wrap_it(self, x):
@@ -305,8 +324,11 @@ class TestPerBlockProblem:
         ((1.0, 1.0), (3, 3), 1.0, "gamma must exceed 1"),
         ((1.0, 1.0), (3, 3), 0.5, "gamma must exceed 1"),
         ((1.0, 1.0), (3, 3), math.nan, "gamma must exceed 1"),
+        ((1.0, math.nan), (3, 3), 1.5, r"ridge weights \(lambda\) must be nonnegative and finite"),
+        ((math.inf, 1.0), (3, 3), 1.5, r"ridge weights \(lambda\) must be nonnegative and finite"),
+        ((1.0, 1.0), (3, 3), math.inf, "gamma must exceed 1 and be finite, got inf"),
     ], ids=["length-mismatch", "negative-ridge", "zero-cap", "negative-cap", "gamma-one",
-            "gamma-below-one", "gamma-nan"])
+            "gamma-below-one", "gamma-nan", "ridge-nan", "ridge-inf", "gamma-inf"])
     def test_invalid_problem_rejected(self, ridge, sparsity, gamma, match):
         with pytest.raises(ValueError, match=match):
             Problem(ridge=ridge, sparsity=sparsity, gamma=gamma)

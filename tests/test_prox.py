@@ -158,9 +158,10 @@ class TestProxBlockStep:
         out = prox_block_step(w, grad, 1.5, 4)
         np.testing.assert_array_equal(out, w - grad / 1.5)
 
-    def test_nonpositive_tau_raises(self):
+    @pytest.mark.parametrize("tau", [0.0, np.nan], ids=["zero", "nan"])
+    def test_nonpositive_tau_raises(self, tau):
         with pytest.raises(ValueError, match="positive"):
-            prox_block_step(np.ones(2), np.ones(2), 0.0, 1)
+            prox_block_step(np.ones(2), np.ones(2), tau, 1)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):

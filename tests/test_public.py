@@ -77,3 +77,21 @@ def test_only_kernels_imports_a_thread_or_process_module():
                 continue
             found += [(path.name, m) for m in modules if m.split(".")[0] in banned]
     assert found == [("kernels.py", "threading")]
+
+
+def test_only_each_range_constructs_a_thread():
+    """`threading.Thread` is constructed in one function of src/ml0,
+    `kernels._each_range`, which runs every pass's ranges, so a second range
+    runner cannot come back."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), None)]
+        while stack:
+            node, function = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call) and "Thread" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None)):
+                found.append((path.name, function))
+            stack += [(child, function) for child in ast.iter_child_nodes(node)]
+    assert found == [("kernels.py", "_each_range")]

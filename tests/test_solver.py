@@ -73,9 +73,10 @@ class TestNesterovBeta:
         assert all(b < 1.0 for b in betas)
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
 
-    def test_requires_t_at_least_one(self):
-        with pytest.raises(ValueError):
-            nesterov_beta(0.5)
+    @pytest.mark.parametrize("t_k", [0.5, math.nan], ids=["below-one", "nan"])
+    def test_requires_t_at_least_one(self, t_k):
+        with pytest.raises(ValueError, match="t_k must be >= 1"):
+            nesterov_beta(t_k)
 
 
 class TestCheckStop:
