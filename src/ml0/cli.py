@@ -31,8 +31,9 @@ from .data import (
     split,
 )
 from .metrics import accuracy, auc
-from .model import Problem, margins, objective_from_margins
+from .model import Problem, _check_caps, margins, objective_from_margins
 from .solver import SolverConfig, random_init, run, write_trace_csv
+from .tensor import _check_integer
 
 SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
 MONOTONE = "only apalm+ and bpgd keep the recorded objective nonincreasing"
@@ -66,12 +67,9 @@ def _add_solver_flags(sub):
 
 
 def _resolve_problem(args, dims):
-    p = len(dims)
     lam = args.lam if args.lam else [2e-4]
     if len(lam) == 1:
-        lam = lam * p
-    if len(lam) != p:
-        raise ValueError(f"got {len(lam)} ridge weights for {p} blocks")
+        lam = lam * len(dims)
     if not 0.0 < args.sparsity_frac <= 1.0:
         raise ValueError(f"sparsity fraction must lie in (0, 1], got {args.sparsity_frac}")
     sparsity = [max(1, math.ceil(args.sparsity_frac * d)) for d in dims]
@@ -161,7 +159,7 @@ def _sidecar_problem(model_path, params):
         with open(path, "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         problem = Problem(ridge=tuple(sidecar["lambda"]), sparsity=tuple(sidecar["sparsity"]))
-        problem.check_dims(params.block_dims())
+        _check_caps(problem.sparsity, params.block_dims())
     except FileNotFoundError:
         raise ValueError(
             f"missing sidecar {path} (needed for the ridge/sparsity settings)") from None
@@ -208,11 +206,14 @@ def _mean_std(values):
 
 def cmd_bench(args):
     schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
-    for s in schedules:
+    if not schedules:
+        raise ValueError(f"--schedules names no schedule; choose from {sorted(SCHEDULE_NAMES)}")
+    for i, s in enumerate(schedules):
         if s not in SCHEDULE_NAMES:
             raise ValueError(f"unknown schedule {s!r}; choose from {sorted(SCHEDULE_NAMES)}")
-    if args.runs < 1:
-        raise ValueError("--runs must be >= 1")
+        if s in schedules[:i]:
+            raise ValueError(f"--schedules names {s!r} more than once")
+    _check_integer("--runs", args.runs, 1)
     if args.runs < 2:
         print("warning: fewer than 2 runs, std reported as 0", file=sys.stderr)
 
@@ -324,7 +325,3 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

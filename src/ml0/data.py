@@ -120,14 +120,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rows", "cols", "block", "per_class", "seed"):
-            _check_integer(name, getattr(self, name))
+        for name in ("rows", "cols", "block", "per_class"):
+            _check_integer(name, getattr(self, name), 1)
+        _check_integer("seed", self.seed, 0)
         if self.block > min(self.rows, self.cols):
             raise ValueError("planted block must fit inside the sample matrix")
-        if self.block < 1 or self.rows < 1 or self.cols < 1:
-            raise ValueError("dimensions must be positive")
-        if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
         if not 0 < self.margin < math.inf:
             raise ValueError(f"margin must be positive and finite, got {self.margin}")
 
@@ -177,7 +174,7 @@ def split(ds: Dataset, train_fraction: float, seed: int):
     """Stratified seeded train/test split with class proportions kept up to rounding."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_check_integer("seed", seed, 0)))
     class_indices = [np.flatnonzero(ds.y == 1.0), np.flatnonzero(ds.y == -1.0)]
     for idx in class_indices:
         if idx.size < 2:

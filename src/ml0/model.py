@@ -8,13 +8,12 @@ the smooth loss, infeasible points score +inf.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _stacked, contract_down, contract_samples
-from .tensor import DenseTensor, _frozen, _row_dots, _support, contract_full
+from .tensor import DenseTensor, _check_integer, _frozen, _row_dots, _support, contract_full
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,28 +52,28 @@ class Problem:
 
     def __post_init__(self):
         ridge = tuple(float(r) for r in self.ridge)
-        sparsity = tuple(self.sparsity)
-        if any(isinstance(s, bool) or not hasattr(s, "__index__") for s in sparsity):
-            raise ValueError(f"sparsity caps must be integers, got {sparsity}")
-        sparsity = tuple(map(operator.index, sparsity))
+        sparsity = _check_caps(self.sparsity)
         if len(ridge) != len(sparsity):
-            raise ValueError("ridge and sparsity must have one entry per block")
+            raise ValueError(f"{len(ridge)} ridge weights for {len(sparsity)} sparsity caps")
         if not all(0.0 <= r < math.inf for r in ridge):  # NaN too
             raise ValueError(f"ridge weights (lambda) must be nonnegative and finite, got {ridge}")
-        if any(s < 1 for s in sparsity):
-            raise ValueError("sparsity caps must be >= 1")
         if not 1.0 < self.gamma < math.inf:  # an infinite gamma makes every step size infinite
             raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
         object.__setattr__(self, "ridge", ridge)
         object.__setattr__(self, "sparsity", sparsity)
         object.__setattr__(self, "gamma", float(self.gamma))
 
-    def check_dims(self, dims):
-        """Raise unless each block has one ridge weight and a cap within its length."""
-        if len(self.sparsity) != len(dims):
-            raise ValueError(f"{len(self.sparsity)} ridge/sparsity entries for {len(dims)} blocks")
-        if any(s > d for s, d in zip(self.sparsity, dims)):
-            raise ValueError(f"sparsity caps {self.sparsity} exceed block lengths {dims}")
+
+def _check_caps(sparsity, dims=None):
+    """The caps as a tuple of ints, each an integer >= 1; given the block
+    lengths `dims`, also one cap per block and none above its block."""
+    caps = tuple(_check_integer(f"sparsity[{i}]", s, 1) for i, s in enumerate(sparsity))
+    if dims is not None:
+        if len(caps) != len(dims):
+            raise ValueError(f"{len(caps)} sparsity caps for {len(dims)} blocks")
+        if any(s > d for s, d in zip(caps, dims)):
+            raise ValueError(f"sparsity caps {caps} exceed block lengths {tuple(dims)}")
+    return caps
 
 
 def _check_shapes(blocks, data, problem=None):
@@ -82,7 +81,7 @@ def _check_shapes(blocks, data, problem=None):
     if dims != data.feature_dims:
         raise ValueError(f"block lengths {dims} do not match sample dims {data.feature_dims}")
     if problem is not None:
-        problem.check_dims(dims)
+        _check_caps(problem.sparsity, dims)
 
 
 def margin_batch(X, blocks, bias):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .tensor import _check_integer
+
 
 def project_l0(v, s):
     """Keep the s largest-magnitude entries of v, zero the rest.
@@ -11,8 +13,7 @@ def project_l0(v, s):
     tie at the cutoff the lowest index wins, which makes runs reproducible.
     A vector with at most s nonzeros is returned unchanged (as a copy).
     """
-    if isinstance(s, bool) or not hasattr(s, "__index__") or s < 1:
-        raise ValueError(f"sparsity level must be an integer >= 1, got {s!r}")
+    s = _check_integer("sparsity level", s, 1)
     v = np.asarray(v, dtype=np.float64)
     d = v.size
     if s >= d or np.count_nonzero(v) <= s:

@@ -34,6 +34,7 @@ from .kernels import contract_mode
 from .model import (
     ModelParams,
     Problem,
+    _check_caps,
     _check_shapes,
     block_step,
     grad_direction_batch,
@@ -79,9 +80,7 @@ class SolverConfig:
         for name in ("tol_obj", "tol_grad", "max_seconds"):
             if not getattr(self, name) > 0:  # NaN too: it would switch off a stop
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        _check_integer("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -141,13 +140,10 @@ def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
 def random_init(dims, sparsity, seed):
     """Sparse Gaussian starting point: s_i uniformly chosen support positions
     per block filled with standard normal draws, the rest zero. PCG64 stream."""
-    if len(dims) != len(sparsity):
-        raise ValueError(f"{len(dims)} block lengths but {len(sparsity)} sparsity caps")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    sparsity = _check_caps(sparsity, dims)
+    rng = np.random.Generator(np.random.PCG64(_check_integer("seed", seed, 0)))
     blocks = []
     for d, s in zip(dims, sparsity):
-        if not 1 <= s <= d:
-            raise ValueError(f"sparsity {s} invalid for block of length {d}")
         w = np.zeros(d)
         support = rng.choice(d, size=s, replace=False)
         w[support] = rng.standard_normal(s)
@@ -324,12 +320,12 @@ class DecreaseReport:
     last_decile_gap: float
 
 
-def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None):
+def diagnose_sufficient_decrease(result: SolveResult):
     """Audit J(new) <= J(base) - rho * gap^2 over a completed run.
 
-    When rho_hat is not given it is estimated per iteration from the recorded
-    step-size constants as (gamma - 1) / gamma * min_tau / 2, the guaranteed
-    margin between each step-size constant and the true smoothness bound.
+    rho is estimated per iteration from the recorded step-size constants as
+    (gamma - 1) / gamma * min_tau / 2, the guaranteed margin between each
+    step-size constant and the true smoothness bound.
     An iteration counts as a violation when its slack exceeds 1e-9. Also
     summarizes the gap decay: mean gap over the first and last tenth of the
     iterations.
@@ -339,7 +335,7 @@ def diagnose_sufficient_decrease(result: SolveResult, rho_hat=None):
     worst = -math.inf
     violations = 0
     for row in result.trace:
-        rho = rho_hat if rho_hat is not None else (gamma - 1.0) / gamma * row.min_tau / 2.0
+        rho = (gamma - 1.0) / gamma * row.min_tau / 2.0
         slack = row.objective - (row.base_objective - rho * row.gap**2)
         worst = max(worst, slack)
         if slack > 1e-9:

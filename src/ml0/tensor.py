@@ -1,6 +1,9 @@
-"""Dense single-sample tensors, the checks every sample array, weight block
-and label array passes, and the full multilinear form that scores one sample,
-from only the rows its sparse weights select once the sample is large."""
+"""Dense single-sample tensors, the checks every sample array, weight block,
+label array and integer input passes, and the full multilinear form that
+scores one sample, from only the rows its sparse weights select once the
+sample is large."""
+
+import operator
 
 import numpy as np
 
@@ -45,11 +48,15 @@ def _check_finite(a):
         raise ValueError("entries must be finite")
 
 
-def _check_integer(name, value):
-    """Raise unless `value` is an integer, as `operator.index` takes it; a
-    bool is not."""
+def _check_integer(name, value, low):
+    """`value` as an int when it is an integer, as `operator.index` takes it
+    (a bool is not), and >= `low`; raises ValueError otherwise."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _check_labels(y):

@@ -191,6 +191,13 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         assert got.bias == want.bias
 
+    def test_one_ridge_weight_too_many_exits_one_naming_both_counts(self, toy_dataset, tmp_path,
+                                                                    capsys):
+        rc = main(["train", str(toy_dataset), "-o", str(tmp_path / "m.ml0w"),
+                   "--lambda", "1e-3", "--lambda", "1e-3", "--lambda", "1e-3"])
+        assert rc == 1
+        assert "3 ridge weights for 2 sparsity caps" in capsys.readouterr().err
+
     def test_missing_dataset_exit_one(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "absent.ml0t"), "-o", str(tmp_path / "m.ml0w")])
         assert rc == 1
@@ -707,6 +714,32 @@ class TestBench:
     def test_unknown_schedule_exit_one(self, toy_dataset, capsys):
         rc = main(["bench", str(toy_dataset), "--schedules", "sgd"])
         assert rc == 1
+
+    @pytest.mark.parametrize("schedules, named", [
+        (",", "--schedules names no schedule"),
+        ("bpgd,bpgd", "--schedules names 'bpgd' more than once"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_schedules_exit_one(self, toy_dataset, tmp_path, capsys, schedules,
+                                                  named):
+        """An empty list printed a header-only report; a repeated name ran
+        each solve and printed each row twice."""
+        out = tmp_path / "r.csv"
+        rc = main(["bench", str(toy_dataset), "--schedules", schedules, "-o", str(out)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "bench"])
+def test_negative_seed_exits_one_naming_it_and_writes_nothing(command, toy_dataset, tmp_path,
+                                                                capsys):
+    """numpy rejected the seed deep inside with a message naming no flag."""
+    data = ["--rows", "4", "--cols", "4", "--block", "2", "--per-class", "2"]
+    rc = main([command, *(data if command == "gen" else [str(toy_dataset)]),
+               "--seed", "-1", "-o", str(tmp_path / "out")])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestModuleEntryPoint:

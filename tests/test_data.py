@@ -203,14 +203,20 @@ class TestGenerateSynthetic:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
 
+    def test_numpy_integer_fields_generate_as_ints(self):
+        small = {"rows": 6, "cols": 6, "block": 2, "per_class": 5, "seed": 9}
+        a, _ = generate_synthetic(SyntheticConfig(**small))
+        b, _ = generate_synthetic(SyntheticConfig(**{k: np.int64(v) for k, v in small.items()}))
+        assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
+
     def test_block_must_fit(self):
         with pytest.raises(ValueError, match="block"):
             SyntheticConfig(rows=4, cols=4, block=5, per_class=1)
 
     @pytest.mark.parametrize("fields, match", [
-        ({"rows": 0, "block": 0}, "dimensions must be positive"),
-        ({"rows": 4, "cols": 4, "block": 0}, "dimensions must be positive"),
-        ({"rows": 4, "cols": -1, "block": -2}, "dimensions must be positive"),
+        ({"rows": 0, "block": 0}, "rows must be >= 1, got 0"),
+        ({"rows": 4, "cols": 4, "block": 0}, "block must be >= 1, got 0"),
+        ({"rows": 4, "cols": -1, "block": -2}, "cols must be >= 1, got -1"),
         ({"per_class": 0}, "per_class"),
         ({"margin": 0.0}, "margin"),
         ({"margin": -0.5}, "margin"),
@@ -382,6 +388,17 @@ class TestSplit:
         ds = self.make(5, 5)
         with pytest.raises(ValueError, match="fraction"):
             split(ds, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, -1])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        """A seed of None drew fresh entropy: another split on every call."""
+        with pytest.raises(ValueError, match="^seed must be "):
+            split(self.make(5, 5), 0.5, seed=seed)
+
+    def test_numpy_integer_seed_splits_as_the_int(self):
+        ds = self.make(20, 20)
+        for a, b in zip(split(ds, 0.7, seed=5), split(ds, 0.7, seed=np.int64(5))):
+            assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
 
 
 class TestDatasetIO:

@@ -299,8 +299,8 @@ class TestPerBlockProblem:
         return ModelParams(blocks=(np.ones(3), np.ones(4)), bias=0.0), data
 
     @pytest.mark.parametrize("ridge, sparsity, match", [
-        ((1.0,), (3,), "1 ridge/sparsity entries for 2 blocks"),
-        ((1.0,) * 3, (3,) * 3, "3 ridge/sparsity entries for 2 blocks"),
+        ((1.0,), (3,), "1 sparsity caps for 2 blocks"),
+        ((1.0,) * 3, (3,) * 3, "3 sparsity caps for 2 blocks"),
         ((1.0, 1.0), (3, 5), "exceed block lengths"),
     ])
     def test_mismatched_problem_rejected(self, ridge, sparsity, match):
@@ -317,7 +317,7 @@ class TestPerBlockProblem:
                 call()
 
     @pytest.mark.parametrize("ridge, sparsity, gamma, match", [
-        ((1.0, 1.0), (3,), 1.5, "one entry per block"),
+        ((1.0, 1.0), (3,), 1.5, "2 ridge weights for 1 sparsity caps"),
         ((1.0, -1e-9), (3, 3), 1.5, "nonnegative"),
         ((1.0, 1.0), (3, 0), 1.5, ">= 1"),
         ((1.0, 1.0), (3, -2), 1.5, ">= 1"),
@@ -335,7 +335,7 @@ class TestPerBlockProblem:
 
     @pytest.mark.parametrize("cap", [2.7, 3.0, np.float64(3.0), True, np.True_, "3", None])
     def test_non_integer_cap_rejected(self, cap):
-        with pytest.raises(ValueError, match="sparsity caps must be integers"):
+        with pytest.raises(ValueError, match=r"sparsity\[0\] must be an integer, got "):
             Problem(ridge=(1.0, 1.0), sparsity=(cap, 3))
 
     def test_numpy_integer_caps_become_ints(self):

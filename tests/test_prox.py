@@ -75,13 +75,15 @@ class TestProjectL0:
 
     @pytest.mark.parametrize("s", [-1, 2.7, 2.0, np.float64(2.0), True, np.True_, "2", None])
     def test_non_integer_or_negative_s_raises(self, s):
-        with pytest.raises(ValueError, match="sparsity level must be an integer"):
+        match = "must be >= 1, got -1" if s == -1 else "must be an integer"
+        with pytest.raises(ValueError, match="sparsity level " + match):
             project_l0(np.array([1.0, 2.0, 3.0]), s)
 
     def test_numpy_integer_s_accepted(self):
-        v = np.array([1.0, -3.0, 2.0])
-        for s in (np.int64(2), np.uint8(2), np.intp(2)):
-            assert project_l0(v, s).tobytes() == project_l0(v, 2).tobytes()
+        # A uint8 level on a block longer than 255 overflowed in `d - s`.
+        for v in (np.array([1.0, -3.0, 2.0]), np.arange(300.0)):
+            for s in (np.int64(2), np.uint8(2), np.intp(2)):
+                assert project_l0(v, s).tobytes() == project_l0(v, 2).tobytes()
 
     def test_bitwise_equal_to_two_pass_form(self):
         rng = np.random.default_rng(29)

@@ -79,10 +79,9 @@ def test_only_kernels_imports_a_thread_or_process_module():
     assert found == [("kernels.py", "threading")]
 
 
-def test_only_each_range_constructs_a_thread():
-    """`threading.Thread` is constructed in one function of src/ml0,
-    `kernels._each_range`, which runs every pass's ranges, so a second range
-    runner cannot come back."""
+def sites(matches):
+    """(file, innermost enclosing function or None) of each node of src/ml0
+    that `matches`, files in name order."""
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         stack = [(ast.parse(path.read_text(), str(path)), None)]
@@ -90,8 +89,25 @@ def test_only_each_range_constructs_a_thread():
             node, function = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
-            if isinstance(node, ast.Call) and "Thread" in (getattr(node.func, "attr", None),
-                                                          getattr(node.func, "id", None)):
+            if matches(node):
                 found.append((path.name, function))
             stack += [(child, function) for child in ast.iter_child_nodes(node)]
-    assert found == [("kernels.py", "_each_range")]
+    return found
+
+
+def test_only_each_range_constructs_a_thread():
+    """`threading.Thread` is constructed in one function of src/ml0,
+    `kernels._each_range`, which runs every pass's ranges, so a second range
+    runner cannot come back."""
+    assert sites(lambda node: isinstance(node, ast.Call) and "Thread" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))) == [
+        ("kernels.py", "_each_range")]
+
+
+def test_only_check_integer_tests_for_an_integer():
+    """`__index__`, as a string or an attribute, appears in one function of
+    src/ml0, `tensor._check_integer`, the one integer rule, so a copy of the
+    rule cannot come back."""
+    assert sites(lambda node: getattr(node, "attr", None) == "__index__" or (
+        isinstance(node, ast.Constant) and "__index__" in str(node.value))) == [
+        ("tensor.py", "_check_integer")]

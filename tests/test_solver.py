@@ -122,11 +122,28 @@ class TestRandomInit:
         with pytest.raises(ValueError):
             random_init((3,), (4,), seed=0)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, True, -1])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        """A seed of None drew fresh entropy: another start on every call."""
+        with pytest.raises(ValueError, match="^seed must be "):
+            random_init((5, 5), (2, 2), seed)
+
+    @pytest.mark.parametrize("cap", [2.5, True, np.True_])
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError, match=r"^sparsity\[0\] must be an integer, got "):
+            random_init((5, 5), (cap, 2), 0)
+
+    def test_numpy_integer_seed_and_caps_draw_as_ints(self):
+        a = random_init((6, 9), (2, 4), seed=11)
+        b = random_init((6, 9), (np.int64(2), np.uint8(4)), seed=np.int64(11))
+        for x, y in zip(a.blocks, b.blocks):
+            assert x.tobytes() == y.tobytes()
+
     @pytest.mark.parametrize("dims, sparsity", [((30, 30), (9,)), ((30,), (9, 9))])
     def test_one_cap_per_block(self, dims, sparsity):
         """`zip` used to drop the unmatched blocks or caps and return a
         one-block model."""
-        with pytest.raises(ValueError, match=f"^{len(dims)} block lengths but {len(sparsity)} sparsity caps$"):
+        with pytest.raises(ValueError, match=f"^{len(sparsity)} sparsity caps for {len(dims)} blocks$"):
             random_init(dims, sparsity, seed=0)
 
 
@@ -444,24 +461,31 @@ class TestDiagnostics:
         assert report.violations == 0
         assert all(row.gap == 0.0 for row in result.trace)
 
-    def test_explicit_rho_hat(self):
+    @staticmethod
+    def run_with_min_tau(min_tau):
+        """A toy run whose trace rows have their `min_tau` set by hand, which
+        sets the audit's rho to (gamma - 1) / gamma * min_tau / 2."""
         rng = np.random.default_rng(11)
         data = toy_dataset(rng)
         problem = toy_problem(data.feature_dims)
         init = random_init(data.feature_dims, problem.sparsity, seed=11)
         result = run(problem, data, init, SolverConfig(max_iters=40))
-        assert diagnose_sufficient_decrease(result, rho_hat=0.0).violations == 0
+        result.trace = [dataclasses.replace(row, min_tau=min_tau) for row in result.trace]
+        return result
 
-    def test_large_rho_hat_counts_violations(self):
-        rng = np.random.default_rng(11)
-        data = toy_dataset(rng)
-        problem = toy_problem(data.feature_dims)
-        init = random_init(data.feature_dims, problem.sparsity, seed=11)
-        result = run(problem, data, init, SolverConfig(max_iters=40))
+    def test_zero_rho_counts_no_violations(self):
+        result = self.run_with_min_tau(0.0)
+        assert diagnose_sufficient_decrease(result).violations == 0
+
+    def test_large_rho_counts_violations(self):
+        result = self.run_with_min_tau(6e12)
+        rho = (1.5 - 1.0) / 1.5 * 6e12 / 2.0  # 1e12 at the toy problem's gamma
         moved = sum(row.gap > 0.0 for row in result.trace)
         assert moved > 0
-        report = diagnose_sufficient_decrease(result, rho_hat=1e12)
+        report = diagnose_sufficient_decrease(result)
         assert report.violations == moved
+        assert report.max_violation == max(
+            row.objective - (row.base_objective - rho * row.gap**2) for row in result.trace)
         assert report.max_violation > 0.0
 
 
