@@ -32,10 +32,9 @@ from .data import (
 )
 from .metrics import accuracy, auc
 from .model import Problem, _check_caps, margins, objective_from_margins
-from .solver import SolverConfig, random_init, run, write_trace_csv
+from .solver import SCHEDULES, SolverConfig, random_init, run, write_trace_csv
 from .tensor import _check_integer
 
-SCHEDULE_NAMES = {"apalm+": "adaptive", "apalm": "nesterov", "bpgd": "none"}
 MONOTONE = "only apalm+ and bpgd keep the recorded objective nonincreasing"
 
 
@@ -76,21 +75,15 @@ def _resolve_problem(args, dims):
     return Problem(ridge=tuple(lam), sparsity=tuple(sparsity), gamma=args.gamma)
 
 
-def _solver_config(args, schedule):
-    """Every solver field but the schedule from the flag of its name; only
-    apalm+ starts with momentum."""
-    name = SCHEDULE_NAMES[schedule]
-    fields = {f.name: getattr(args, f.name) for f in _flag_fields(SolverConfig)}
-    if name != "adaptive":
-        fields["beta1"] = 0.0
-    return SolverConfig(schedule=name, **fields)
+def _flag_values(args, cls):
+    """The fields of `_flag_fields(cls)` as their flags were given."""
+    return {f.name: getattr(args, f.name) for f in _flag_fields(cls)}
 
 
-def _config_dump(args, problem, config, extra):
-    """Sidecar settings: every solver field but the schedule (its CLI name
-    goes in `extra`), the problem, and the CLI's own settings."""
-    dump = dataclasses.asdict(config)
-    del dump["schedule"]
+def _config_dump(args, problem, extra):
+    """Sidecar settings: every solver field but the schedule as its flag was
+    given, the problem, and the CLI's own settings."""
+    dump = _flag_values(args, SolverConfig)
     dump.update({
         "gamma": problem.gamma,
         "lambda": list(problem.ridge),
@@ -109,7 +102,7 @@ def _write_sidecar(path, payload):
 
 
 def cmd_gen(args):
-    cfg = SyntheticConfig(**{f.name: getattr(args, f.name) for f in _flag_fields(SyntheticConfig)})
+    cfg = SyntheticConfig(**_flag_values(args, SyntheticConfig))
     ds, (v1, v2) = generate_synthetic(cfg)
     save_dataset(ds, args.output)
     _write_sidecar(args.output, {
@@ -125,7 +118,7 @@ def cmd_train(args):
     ds = load_dataset(args.dataset)
     dims = ds.feature_dims
     problem = _resolve_problem(args, dims)
-    config = _solver_config(args, args.schedule)
+    config = SolverConfig(schedule=args.schedule, **_flag_values(args, SolverConfig))
     init = random_init(dims, problem.sparsity, seed=args.seed)
     time_source = (lambda: 0.0) if args.no_wall_time else None
 
@@ -134,7 +127,7 @@ def cmd_train(args):
     save_params(result.params, args.output)
     trace_path = args.trace if args.trace else str(args.output) + ".trace.csv"
     write_trace_csv(result.trace, trace_path)
-    dump = _config_dump(args, problem, config, extra={
+    dump = _config_dump(args, problem, extra={
         "command": "train",
         "schedule": args.schedule,
         "dataset": str(args.dataset),
@@ -207,10 +200,10 @@ def _mean_std(values):
 def cmd_bench(args):
     schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
     if not schedules:
-        raise ValueError(f"--schedules names no schedule; choose from {sorted(SCHEDULE_NAMES)}")
+        raise ValueError(f"--schedules names no schedule; choose from {sorted(SCHEDULES)}")
     for i, s in enumerate(schedules):
-        if s not in SCHEDULE_NAMES:
-            raise ValueError(f"unknown schedule {s!r}; choose from {sorted(SCHEDULE_NAMES)}")
+        if s not in SCHEDULES:
+            raise ValueError(f"unknown schedule {s!r}; choose from {sorted(SCHEDULES)}")
         if s in schedules[:i]:
             raise ValueError(f"--schedules names {s!r} more than once")
     _check_integer("--runs", args.runs, 1)
@@ -230,7 +223,7 @@ def cmd_bench(args):
         train_ds, test_ds = split(ds, args.train_frac, seed=seed)
         init = random_init(dims, problem.sparsity, seed=seed)
         for name in schedules:
-            config = _solver_config(args, name)
+            config = SolverConfig(schedule=name, **_flag_values(args, SolverConfig))
             result = run(problem, train_ds, init, config, time_source=time_source)
             m = margins(result.params, test_ds)
             row = {
@@ -259,14 +252,13 @@ def cmd_bench(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)
-        _write_sidecar(args.output, _config_dump(  # apalm+: every flag as given
-            args, problem, _solver_config(args, "apalm+"), extra={
-                "command": "bench",
-                "dataset": str(args.dataset),
-                "schedules": schedules,
-                "runs": args.runs,
-                "train_frac": args.train_frac,
-            }))
+        _write_sidecar(args.output, _config_dump(args, problem, extra={
+            "command": "bench",
+            "dataset": str(args.dataset),
+            "schedules": schedules,
+            "runs": args.runs,
+            "train_frac": args.train_frac,
+        }))
         print(f"wrote {args.output}")
     else:
         print(report, end="")
@@ -289,8 +281,8 @@ def build_parser():
     train.add_argument("dataset", help="dataset file")
     train.add_argument("-o", "--output", required=True, help="weights file to write")
     train.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
-    train.add_argument("--schedule", choices=sorted(SCHEDULE_NAMES), default="apalm+",
-                       help=f"momentum schedule (default: apalm+); {MONOTONE}")
+    train.add_argument("--schedule", choices=sorted(SCHEDULES), default=SolverConfig.schedule,
+                       help=f"momentum schedule (default: {SolverConfig.schedule}); {MONOTONE}")
     _add_solver_flags(train)
 
     ev = subs.add_parser("eval", help="score a weights file on a dataset")
@@ -301,7 +293,7 @@ def build_parser():
     bench = subs.add_parser("bench", help="compare schedules across repeated seeded runs")
     bench.add_argument("dataset", help="dataset file")
     bench.add_argument("--schedules", default="apalm+,bpgd",
-                       help=f"comma-separated subset of apalm+,apalm,bpgd; {MONOTONE}")
+                       help=f"comma-separated subset of {','.join(SCHEDULES)}; {MONOTONE}")
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--train-frac", type=float, default=0.8)
     bench.add_argument("-o", "--output", help="report CSV path (default: stdout)")

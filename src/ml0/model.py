@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .kernels import _stacked, contract_down, contract_samples
 from .tensor import DenseTensor, _check_integer, _frozen, _row_dots, _support, contract_full
 
@@ -223,6 +224,9 @@ def block_step(G, w, bias, labels, lam, gamma):
 def _block_step_at(params, data, problem, j):
     if not 0 <= j < params.order:
         raise IndexError(f"block index {j} out of range for {params.order} blocks")
+    if not isinstance(data, Dataset):
+        raise TypeError("grad_block and lipschitz_block need an in-memory Dataset (for example "
+                        f"from ml0.load_dataset), got {type(data).__name__}")
     _check_shapes(params.blocks, data, problem)
     G = grad_direction_batch(data.X, params.blocks, j)
     return block_step(G, params.blocks[j], params.bias, data.y, problem.ridge[j], problem.gamma)

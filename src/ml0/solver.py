@@ -5,11 +5,12 @@ previous step, keeps the extrapolated point only if it does not increase the
 objective (growing the momentum factor on success, shrinking it on failure),
 then sweeps the blocks cyclically: one hard-thresholded gradient step per
 block with a freshly computed step-size constant, followed by a plain
-gradient step on the bias. Momentum schedules:
+gradient step on the bias. Momentum schedules (only apalm+ reads t, beta1
+and beta_max):
 
-  adaptive  grow/shrink the factor by t based on the acceptance test
-  nesterov  classic t_k recursion, extrapolated point always used
-  none      no extrapolation (plain block proximal gradient descent)
+  apalm+  grow/shrink the factor by t based on the acceptance test
+  apalm   classic t_k recursion, extrapolated point always used
+  bpgd    no extrapolation (plain block proximal gradient descent)
 
 All of an iteration's contractions of the sample array X derive from one
 cached partial P = X x_p w_p (X contracted with the last block) per iterate,
@@ -48,7 +49,7 @@ from .model import (
 from .prox import prox_block_step
 from .tensor import _check_integer
 
-SCHEDULES = ("adaptive", "nesterov", "none")
+SCHEDULES = ("apalm+", "apalm", "bpgd")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class SolverConfig:
     t=1.3, beta1=0.6, beta_max=0.9999, tolerances 1e-5 / 1e-4. The
     step-size inflation factor gamma belongs to the `Problem`."""
 
-    schedule: str = "adaptive"
+    schedule: str = "apalm+"
     t: float = field(default=1.3, metadata={"help": "momentum growth/decay factor"})
     beta1: float = field(default=0.6, metadata={"help": "initial momentum factor"})
     beta_max: float = field(default=0.9999, metadata={"help": "momentum cap"})
@@ -73,10 +74,11 @@ class SolverConfig:
             raise ValueError(f"momentum factor t must exceed 1, got {self.t}")
         if not 0.0 <= self.beta_max < 1.0:
             raise ValueError(f"beta_max must lie in [0, 1), got {self.beta_max}")
-        if not 0.0 <= self.beta1 <= self.beta_max:
-            raise ValueError(
-                f"beta1 must lie in [0, beta_max={self.beta_max}], got {self.beta1}"
-            )
+        # beta_max caps beta1 only in apalm+, the one schedule that reads both.
+        if self.schedule == "apalm+" and not 0.0 <= self.beta1 <= self.beta_max:
+            raise ValueError(f"beta1 must lie in [0, beta_max={self.beta_max}], got {self.beta1}")
+        if not 0.0 <= self.beta1 < 1.0:
+            raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
         for name in ("tol_obj", "tol_grad", "max_seconds"):
             if not getattr(self, name) > 0:  # NaN too: it would switch off a stop
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -140,6 +142,7 @@ def check_stop(prev_row, cur_row, prev_grads, cur_grads, n, config):
 def random_init(dims, sparsity, seed):
     """Sparse Gaussian starting point: s_i uniformly chosen support positions
     per block filled with standard normal draws, the rest zero. PCG64 stream."""
+    dims = [_check_integer(f"dims[{i}]", d, 1) for i, d in enumerate(dims)]
     sparsity = _check_caps(sparsity, dims)
     rng = np.random.Generator(np.random.PCG64(_check_integer("seed", seed, 0)))
     blocks = []
@@ -189,7 +192,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
     The initial point must already satisfy the sparsity caps. Every recorded
     iterate is feasible (each block update ends in a hard-thresholding
-    projection) and, for the adaptive and none schedules, the recorded
+    projection) and, for the apalm+ and bpgd schedules, the recorded
     objective sequence is nonincreasing. The wall-clock budget is checked
     once per outer iteration; `time_source` replaces the clock for
     reproducible traces. `iterate_hook(k, blocks, bias)` is called with each
@@ -213,7 +216,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         raise ValueError("objective is not finite at the initial point")
     P_prev = P_cur
 
-    beta = config.beta1 if config.schedule == "adaptive" else 0.0
+    beta = config.beta1 if config.schedule == "apalm+" else 0.0
     t_k = 1.0
     trace = []
     grads_prev = None
@@ -240,12 +243,12 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             P_y *= beta
             P_y += P_cur
             J_y, _ = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity, P_y)
-            if config.schedule == "nesterov" or J_y <= J_cur:
+            if config.schedule == "apalm" or J_y <= J_cur:
                 base, base_b, J_base, P_base = y_blocks, y_bias, J_y, P_y
             else:
                 accepted = False
-        # The none schedule starts at beta 0, and 0 grows to 0.
-        if config.schedule == "nesterov":
+        # The bpgd schedule starts at beta 0, and 0 grows to 0.
+        if config.schedule == "apalm":
             t_k, beta = nesterov_beta(t_k)
         elif accepted:
             beta = min(config.beta_max, config.t * beta)

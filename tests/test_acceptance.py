@@ -45,19 +45,19 @@ class BundleRun:
 
 @dataclass
 class Bundle:
-    adaptive: list = field(default_factory=list)
-    none: list = field(default_factory=list)
+    apalm_plus: list = field(default_factory=list)
+    bpgd: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="session")
 def desk_bundle():
-    """10 seeds x {adaptive momentum, no momentum} at reference settings."""
+    """10 seeds x {apalm+, bpgd} at reference settings."""
     ds, _ = ml0.generate_synthetic(DESK)
     bundle = Bundle()
     for seed in SEEDS:
         train, test = ml0.split(ds, 0.8, seed=seed)
         init = ml0.random_init(train.feature_dims, DESK_PROBLEM.sparsity, seed=seed)
-        for schedule in ("adaptive", "none"):
+        for schedule, bucket in (("apalm+", bundle.apalm_plus), ("bpgd", bundle.bpgd)):
             violations = 0
 
             def hook(k, blocks, bias):
@@ -67,17 +67,10 @@ def desk_bundle():
                     for b, s in zip(blocks, DESK_PROBLEM.sparsity)
                 )
 
-            config = SolverConfig(
-                schedule=schedule,
-                beta1=0.6 if schedule == "adaptive" else 0.0,
-                max_iters=2000,
-                max_seconds=60.0,
-            )
+            config = SolverConfig(schedule=schedule, max_iters=2000, max_seconds=60.0)
             result = ml0.run(DESK_PROBLEM, train, init, config, iterate_hook=hook)
             auc = ml0.auc(ml0.margins(result.params, test), test.y)
-            getattr(bundle, schedule).append(
-                BundleRun(seed, result, auc, violations)
-            )
+            bucket.append(BundleRun(seed, result, auc, violations))
     return bundle
 
 
@@ -90,7 +83,7 @@ def deep_runs():
         train, _ = ml0.split(ds, 0.8, seed=seed)
         init = ml0.random_init(train.feature_dims, DESK_PROBLEM.sparsity, seed=seed)
         config = SolverConfig(
-            schedule="adaptive", max_iters=20000, max_seconds=300.0,
+            schedule="apalm+", max_iters=20000, max_seconds=300.0,
             tol_obj=1e-9, tol_grad=1e-8,
         )
         out.append(ml0.run(DESK_PROBLEM, train, init, config))
@@ -241,7 +234,7 @@ def test_criterion_04_monotone_descent_and_sufficient_decrease(desk_bundle):
     worst_uphill = -math.inf
     sd_violations = 0
     sd_worst = -math.inf
-    for bucket in (desk_bundle.adaptive, desk_bundle.none):
+    for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd):
         for entry in bucket:
             J = [row.objective for row in entry.result.trace]
             worst_uphill = max(
@@ -277,12 +270,12 @@ def test_criterion_05_iterate_gap_decay(deep_runs):
 def test_criterion_06_feasibility_every_iterate(desk_bundle):
     violations = sum(
         entry.support_violations
-        for bucket in (desk_bundle.adaptive, desk_bundle.none)
+        for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd)
         for entry in bucket
     )
     iterates = sum(
         len(entry.result.trace)
-        for bucket in (desk_bundle.adaptive, desk_bundle.none)
+        for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd)
         for entry in bucket
     )
     report(
@@ -293,8 +286,8 @@ def test_criterion_06_feasibility_every_iterate(desk_bundle):
 
 
 def test_criterion_07_desk_scale_test_auc(desk_bundle):
-    aucs = sorted(entry.test_auc for entry in desk_bundle.adaptive)
-    median = float(np.median([entry.test_auc for entry in desk_bundle.adaptive]))
+    aucs = sorted(entry.test_auc for entry in desk_bundle.apalm_plus)
+    median = float(np.median([entry.test_auc for entry in desk_bundle.apalm_plus]))
     report(
         7,
         median >= 0.90,
@@ -306,17 +299,17 @@ def test_criterion_07_desk_scale_test_auc(desk_bundle):
 def test_criterion_08_momentum_needs_fewer_iterations(desk_bundle):
     wins = sum(
         len(a.result.trace) < len(b.result.trace)
-        for a, b in zip(desk_bundle.adaptive, desk_bundle.none)
+        for a, b in zip(desk_bundle.apalm_plus, desk_bundle.bpgd)
     )
     pairs = [
         (len(a.result.trace), len(b.result.trace))
-        for a, b in zip(desk_bundle.adaptive, desk_bundle.none)
+        for a, b in zip(desk_bundle.apalm_plus, desk_bundle.bpgd)
     ]
     report(
         8,
         wins >= 7,
-        f"adaptive momentum stopped in fewer iterations on {wins}/10 seeds "
-        f"(needs >= 7); (adaptive, none) iteration pairs {pairs}",
+        f"apalm+ stopped in fewer iterations than bpgd on {wins}/10 seeds "
+        f"(needs >= 7); (apalm+, bpgd) iteration pairs {pairs}",
     )
 
 
@@ -326,7 +319,7 @@ def test_criterion_09_deterministic_traces(tmp_path):
     init = ml0.random_init(train.feature_dims, DESK_PROBLEM.sparsity, seed=0)
     blobs = []
     for tag in ("a", "b"):
-        config = SolverConfig(schedule="adaptive", max_iters=50, max_seconds=60.0)
+        config = SolverConfig(schedule="apalm+", max_iters=50, max_seconds=60.0)
         result = ml0.run(DESK_PROBLEM, train, init, config, time_source=lambda: 0.0)
         path = tmp_path / f"{tag}.csv"
         ml0.write_trace_csv(result.trace, path)

@@ -34,6 +34,7 @@ from ml0 import (
 )
 from ml0 import cli
 from ml0.cli import build_parser, main
+from ml0.solver import SCHEDULES
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,36 @@ class TestTrain:
             assert rc == 0
             blobs.append((tmp_path / f"{tag}.ml0w.trace.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_beta1_is_read_by_apalm_plus_only(self, schedule, toy_dataset, tmp_path):
+        """apalm and bpgd start at momentum 0 whatever --beta1 says, and
+        every sidecar records the flag as given."""
+        outputs = []
+        for beta1 in ("0.5", "0.0"):
+            model = tmp_path / f"{beta1}.ml0w"
+            rc = main(["train", str(toy_dataset), "-o", str(model), "--schedule", schedule,
+                       "--beta1", beta1, "--max-iters", "25", "--no-wall-time"])
+            assert rc == 0
+            sidecar = json.loads((tmp_path / f"{beta1}.ml0w.json").read_text())
+            assert sidecar["beta1"] == float(beta1)
+            trace = tmp_path / f"{beta1}.ml0w.trace.csv"
+            outputs.append((model.read_bytes(), trace.read_bytes()))
+        assert (outputs[0] == outputs[1]) == (schedule != "apalm+")
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_beta_max_below_beta1_stops_apalm_plus_only(self, schedule, toy_dataset, tmp_path,
+                                                        capsys):
+        model = tmp_path / "m.ml0w"
+        rc = main(["train", str(toy_dataset), "-o", str(model), "--schedule", schedule,
+                   "--beta-max", "0.5", "--max-iters", "5"])
+        if schedule == "apalm+":
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: beta1 must lie in [0, beta_max=0.5], got 0.6\n")
+            assert not model.exists()
+        else:
+            assert rc == 0
 
     def test_bpgd_schedule_zero_beta_column(self, toy_dataset, tmp_path):
         model = tmp_path / "b.ml0w"
@@ -284,8 +315,16 @@ class TestSettingsContract:
             value = f.type(f.default * 2)
             assert getattr(parser.parse_args(base + [flag, str(value)]), f.name) == value
 
-    @pytest.mark.parametrize("command", ["train", "bench"])
-    def test_no_flags_build_the_defaults(self, command, toy_dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, schedules", [
+        (["train"], ["apalm+"]),
+        *((["train", "--schedule", s], [s]) for s in SCHEDULES),
+        (["bench"], ["apalm+", "bpgd"]),
+        (["bench", "--schedules", ",".join(SCHEDULES)], list(SCHEDULES)),
+    ], ids=["train", *(f"train-{s}" for s in SCHEDULES), "bench", "bench-all"])
+    def test_no_flags_build_the_defaults(self, argv, schedules, toy_dataset, tmp_path,
+                                         monkeypatch):
+        """Every schedule gets the default of every field: the solver alone
+        decides which of them a schedule reads."""
         solves = []
 
         def recording(problem, data, init, config, **kwargs):
@@ -294,9 +333,10 @@ class TestSettingsContract:
 
         monkeypatch.setattr(cli, "run", recording)
         out = tmp_path / "out"
-        assert main([command, str(toy_dataset), "-o", str(out)]) == 0
-        apalm_plus = [config for _, config in solves if config.schedule == "adaptive"]
-        assert apalm_plus and all(config == SolverConfig() for config in apalm_plus)
+        assert main([*argv, str(toy_dataset), "-o", str(out)]) == 0
+        assert sorted({config.schedule for _, config in solves}) == sorted(schedules)
+        for _, config in solves:
+            assert config == dataclasses.replace(SolverConfig(), schedule=config.schedule)
         assert all(problem.gamma == Problem.gamma for problem, _ in solves)
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert sidecar["gamma"] == Problem.gamma

@@ -597,6 +597,37 @@ class TestStreamedMargins:
             with pytest.raises(ValueError, match="do not match sample dims"):
                 margins(other, stream)
 
+    @pytest.mark.parametrize("read", [
+        margins,
+        lambda params, data: objective(params, data, Problem((2e-4, 2e-4), (3, 2))),
+        lambda params, data: smooth_loss(params, data, Problem((2e-4, 2e-4), (3, 2))),
+        grad_bias,
+    ], ids=["margins", "objective", "smooth_loss", "grad_bias"])
+    def test_stream_readers_spend_the_one_pass(self, tmp_path, read):
+        """README names these four as the public functions that take a stream."""
+        path, params = self.saved(tmp_path, np.random.default_rng(45), 4, (3, 2))
+        with DatasetStream(path) as stream:
+            got = read(params, stream)
+            with pytest.raises(ValueError, match="stream was already read"):
+                read(params, stream)
+        assert np.array_equal(got, read(params, load_dataset(path)))
+
+    @pytest.mark.parametrize("step", [grad_block, lipschitz_block])
+    def test_block_steps_refuse_a_stream_before_any_sample_byte(self, tmp_path, monkeypatch,
+                                                                 step):
+        """Both read the sample array of an in-memory Dataset; a stream made
+        them raise AttributeError naming `X`."""
+        path, params = self.saved(tmp_path, np.random.default_rng(44), 4, (3, 2))
+        problem = Problem(ridge=(2e-4, 2e-4), sparsity=(3, 2))
+        with DatasetStream(path) as stream:
+            monkeypatch.setattr(stream, "_read", lambda product: pytest.fail("read samples"))
+            with pytest.raises(TypeError, match=r"need an in-memory Dataset \(for example from "
+                                                r"ml0\.load_dataset\), got DatasetStream$"):
+                step(params, stream, problem, 0)
+            monkeypatch.undo()
+            m = margins(params, stream)  # the stream's one pass is still unspent
+        assert m.tobytes() == margins(params, load_dataset(path)).tobytes()
+
 
 class TestRangedPass:
     """Above `kernels._SPLIT_MIN_PASS` elements, `margins` and `load_dataset`

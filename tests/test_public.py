@@ -111,3 +111,18 @@ def test_only_check_integer_tests_for_an_integer():
     assert sites(lambda node: getattr(node, "attr", None) == "__index__" or (
         isinstance(node, ast.Constant) and "__index__" in str(node.value))) == [
         ("tensor.py", "_check_integer")]
+
+
+def test_each_schedule_has_one_name():
+    """The schedules are declared once, in `solver.SCHEDULES`, under the
+    names the CLI, the README and the sidecars use. No string of src/ml0 is
+    a second name for one, and cli.py holds no dict literal keyed by
+    schedule names, so a translation table cannot come back."""
+    names, old = {"apalm+", "apalm", "bpgd"}, {"adaptive", "nesterov", "none"}
+    assert set(ml0.solver.SCHEDULES) == names
+    assert sites(lambda node: isinstance(node, ast.Constant) and node.value in old) == []
+    names |= old
+    tables = [node.lineno for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+              if isinstance(node, ast.Dict) and any(
+                  isinstance(key, ast.Constant) and key.value in names for key in node.keys)]
+    assert tables == []

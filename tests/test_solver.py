@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ class TestRandomInit:
         with pytest.raises(ValueError, match=f"^{len(sparsity)} sparsity caps for {len(dims)} blocks$"):
             random_init(dims, sparsity, seed=0)
 
+    @pytest.mark.parametrize("dims, match", [
+        ((5.0, 5), r"^dims\[0\] must be an integer, got 5.0$"),
+        ((0, 5), r"^dims\[0\] must be >= 1, got 0$"),
+    ], ids=["float", "zero"])
+    def test_block_length_must_be_an_integer_at_least_one(self, dims, match):
+        """numpy rejected 5.0 with a TypeError naming no length, and a length
+        of 0 was reported as a cap that exceeds it."""
+        with pytest.raises(ValueError, match=match):
+            random_init(dims, (2, 2), seed=0)
+
 
 class TestRunBasics:
     def test_single_step_matches_hand_rolled_prox_gradient(self):
@@ -158,7 +169,7 @@ class TestRunBasics:
         w0 = np.array([0.9, 0.0, -0.4])
         init = ModelParams(blocks=(w0,), bias=0.2)
         config = SolverConfig(
-            schedule="adaptive", beta1=0.0, beta_max=0.0, max_iters=1, max_seconds=60
+            schedule="apalm+", beta1=0.0, beta_max=0.0, max_iters=1, max_seconds=60
         )
         result = run(problem, data, init, config)
 
@@ -221,6 +232,22 @@ class TestRunBasics:
         with pytest.raises(TypeError):  # gamma belongs to the problem
             SolverConfig(gamma=1.5)
 
+    @pytest.mark.parametrize("name", ["adaptive", "nesterov", "none"])
+    def test_schedules_have_no_second_name(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"one of {SCHEDULES}, got {name!r}")):
+            SolverConfig(schedule=name)
+
+    def test_beta_max_caps_beta1_only_for_apalm_plus(self):
+        """apalm and bpgd never read beta1 or beta_max, so a cap below the
+        default beta1 is no fault there; each value keeps its own range."""
+        with pytest.raises(ValueError, match=r"^beta1 must lie in \[0, beta_max=0.5\], got 0.6$"):
+            SolverConfig(schedule="apalm+", beta1=0.6, beta_max=0.5)
+        for schedule in ("apalm", "bpgd"):
+            assert SolverConfig(schedule=schedule, beta1=0.6, beta_max=0.5).beta1 == 0.6
+            for beta1 in (1.0, -0.1, math.nan):
+                with pytest.raises(ValueError, match=rf"^beta1 must lie in \[0, 1\), got {beta1}$"):
+                    SolverConfig(schedule=schedule, beta1=beta1)
+
     @pytest.mark.parametrize("settings, name", [
         (SolverConfig(), "schedule"),
         (Problem(ridge=(0.0,), sparsity=(1,)), "gamma"),
@@ -264,7 +291,7 @@ class TestRunInvariants:
         config = SolverConfig(schedule=schedule, max_iters=120, **kwargs)
         return run(problem, data, init, config), problem
 
-    @pytest.mark.parametrize("schedule", ["adaptive", "none"])
+    @pytest.mark.parametrize("schedule", ["apalm+", "bpgd"])
     def test_monotone_descent(self, schedule):
         result, _ = self.run_toy(schedule)
         J = [row.objective for row in result.trace]
@@ -272,7 +299,7 @@ class TestRunInvariants:
 
     def test_only_apalm_may_raise_the_objective_on_desk_data(self):
         # The CLI help names apalm+ and bpgd as the monotone schedules. On the
-        # desk data, apalm (nesterov) raises the recorded objective while every
+        # desk data, apalm raises the recorded objective while every
         # step still meets the sufficient decrease from its own base point.
         ds, _ = generate_synthetic(
             SyntheticConfig(rows=30, cols=30, block=5, per_class=100, margin=0.5, seed=0))
@@ -280,13 +307,13 @@ class TestRunInvariants:
         problem = Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9))
         init = random_init(train.feature_dims, problem.sparsity, seed=2)
         rises = {}
-        for schedule in ("nesterov", "adaptive", "none"):
+        for schedule in ("apalm", "apalm+", "bpgd"):
             result = run(problem, train, init, SolverConfig(schedule=schedule, max_iters=20000))
             J = [row.objective for row in result.trace]
             rises[schedule] = sum(b > a for a, b in zip(J, J[1:]))
             assert diagnose_sufficient_decrease(result).violations == 0, schedule
-        assert rises["nesterov"] >= 1
-        assert rises["adaptive"] == rises["none"] == 0
+        assert rises["apalm"] >= 1
+        assert rises["apalm+"] == rises["bpgd"] == 0
 
     def test_every_iterate_feasible(self):
         counts = []
@@ -304,7 +331,7 @@ class TestRunInvariants:
         assert all(np.count_nonzero(b) <= 3 for b in result.params.blocks)
 
     def test_beta_growth_and_decay_follow_acceptance(self):
-        result, _ = self.run_toy("adaptive")
+        result, _ = self.run_toy("apalm+")
         config = result.config
         betas = [row.beta for row in result.trace]
         accepted = [row.accepted for row in result.trace]
@@ -317,12 +344,12 @@ class TestRunInvariants:
                 np.testing.assert_allclose(betas[k + 1], betas[k] / config.t, rtol=1e-15)
 
     def test_beta_stays_in_range(self):
-        result, _ = self.run_toy("adaptive")
+        result, _ = self.run_toy("apalm+")
         assert all(0.0 <= row.beta <= result.config.beta_max for row in result.trace)
 
-    def test_bpgd_equals_adaptive_with_zero_beta_cap(self):
-        a, _ = self.run_toy("none", beta1=0.0)
-        b, _ = self.run_toy("adaptive", beta1=0.0, beta_max=0.0)
+    def test_bpgd_equals_apalm_plus_with_zero_beta_cap(self):
+        a, _ = self.run_toy("bpgd", beta1=0.0)
+        b, _ = self.run_toy("apalm+", beta1=0.0, beta_max=0.0)
         assert len(a.trace) == len(b.trace)
         for ra, rb in zip(a.trace, b.trace):
             assert ra.objective == rb.objective
@@ -330,11 +357,11 @@ class TestRunInvariants:
         assert a.params.bias == b.params.bias
 
     def test_bpgd_beta_all_zero(self):
-        result, _ = self.run_toy("none")
+        result, _ = self.run_toy("bpgd")
         assert all(row.beta == 0.0 for row in result.trace)
 
-    def test_nesterov_betas_follow_recursion(self):
-        result, _ = self.run_toy("nesterov")
+    def test_apalm_betas_follow_recursion(self):
+        result, _ = self.run_toy("apalm")
         betas = [row.beta for row in result.trace]
         t_k, expect = 1.0, [0.0]
         for _ in range(len(betas) - 1):
@@ -344,7 +371,7 @@ class TestRunInvariants:
         assert all(row.accepted for row in result.trace)
 
     def test_trace_objective_finite_everywhere(self):
-        for schedule in ("adaptive", "nesterov", "none"):
+        for schedule in SCHEDULES:
             result, _ = self.run_toy(schedule)
             assert all(math.isfinite(row.objective) for row in result.trace)
 
@@ -444,7 +471,7 @@ class TestDiagnostics:
         data = toy_dataset(rng, n=30, dims=(5, 4))
         problem = toy_problem(data.feature_dims, s=3)
         init = random_init(data.feature_dims, problem.sparsity, seed=9)
-        for schedule in ("adaptive", "none"):
+        for schedule in ("apalm+", "bpgd"):
             result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=150))
             report = diagnose_sufficient_decrease(result)
             assert report.violations == 0
@@ -507,11 +534,6 @@ def cache_runs():
         (cube, cube_problem, random_init(cube.feature_dims, cube_problem.sparsity, seed=12)),
         (line, line_problem, random_init(line.feature_dims, line_problem.sparsity, seed=13)),
     ]
-
-
-def schedule_config(schedule, **kwargs):
-    return SolverConfig(schedule=schedule, beta1=0.6 if schedule == "adaptive" else 0.0,
-                        **kwargs)
 
 
 def rel_err(got, want):
@@ -589,7 +611,7 @@ class TestCachedPartials:
             monkeypatch.setattr(solver, "_objective_at", checked_objective)
             monkeypatch.setattr(solver, "_gradient_family", checked_family)
             monkeypatch.setattr(solver, "grad_direction_batch", checked_direction)
-            result = run(problem, data, init, schedule_config(schedule, max_iters=400),
+            result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=400),
                          iterate_hook=hook)
             monkeypatch.undo()
             # The sweep's base is the extrapolated point when one was tested
@@ -600,9 +622,9 @@ class TestCachedPartials:
             assert len(sweeps) == (p - 1) * len(result.trace)
             assert len(errors) >= (4 + p - 1) * len(result.trace)
             assert max(errors) <= 1e-12, (p, schedule, max(errors))
-            if schedule == "adaptive":
+            if schedule == "apalm+":
                 assert not all(row.accepted for row in result.trace)
-            if schedule != "none":
+            if schedule != "bpgd":
                 assert any(row.beta > 0.0 and row.accepted for row in result.trace)
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -621,7 +643,7 @@ class TestCachedPartials:
 
             monkeypatch.setattr(kernels, "contract_mode", counted)
             monkeypatch.setattr(solver, "contract_mode", counted)
-            result = run(problem, data, init, schedule_config(schedule, max_iters=200),
+            result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=200),
                          iterate_hook=lambda k, blocks, bias: marks.append(passes[0]))
             monkeypatch.undo()
             per_iteration = np.diff(marks)
@@ -656,7 +678,7 @@ def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
             events.append(("hook", ([b.copy() for b in blocks], bias)))
 
         monkeypatch.setattr(solver, "_objective_at", recording)
-        result = run(problem, data, init, schedule_config(schedule, max_iters=300),
+        result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=300),
                      iterate_hook=hook)
         monkeypatch.undo()
         assert len(initial) == 1
@@ -680,7 +702,7 @@ def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
             assert tested[k - 1] == (row.beta != 0.0 and moved), (schedule, k)
             if not tested[k - 1]:
                 assert row.base_objective == objectives[k - 1], (schedule, k)
-        if schedule == "none":
+        if schedule == "bpgd":
             assert not any(tested)
         else:
             assert tested[0] is False and any(tested)
