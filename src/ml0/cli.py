@@ -35,9 +35,6 @@ from .model import Problem, _check_caps, margins, objective_from_margins
 from .solver import SCHEDULES, SolverConfig, random_init, run, write_trace_csv
 from .tensor import _check_integer
 
-MONOTONE = "only apalm+ and bpgd keep the recorded objective nonincreasing"
-
-
 def _flag_fields(cls):
     """Fields of a settings dataclass with a flag of their name: all but the schedule."""
     return [f for f in dataclasses.fields(cls) if f.name != "schedule"]
@@ -134,6 +131,7 @@ def cmd_train(args):
         "stop_reason": result.stop_reason,
         "iterations": len(result.trace),
         "final_objective": result.trace[-1].objective if result.trace else None,
+        "final_residual": result.final_residual,
     })
     _write_sidecar(args.output, dump)
     print("config: " + json.dumps(dump, sort_keys=True))
@@ -282,7 +280,7 @@ def build_parser():
     train.add_argument("-o", "--output", required=True, help="weights file to write")
     train.add_argument("--trace", help="trace CSV path (default: OUTPUT.trace.csv)")
     train.add_argument("--schedule", choices=sorted(SCHEDULES), default=SolverConfig.schedule,
-                       help=f"momentum schedule (default: {SolverConfig.schedule}); {MONOTONE}")
+                       help=f"momentum schedule (default: {SolverConfig.schedule})")
     _add_solver_flags(train)
 
     ev = subs.add_parser("eval", help="score a weights file on a dataset")
@@ -293,7 +291,7 @@ def build_parser():
     bench = subs.add_parser("bench", help="compare schedules across repeated seeded runs")
     bench.add_argument("dataset", help="dataset file")
     bench.add_argument("--schedules", default="apalm+,bpgd",
-                       help=f"comma-separated subset of {','.join(SCHEDULES)}; {MONOTONE}")
+                       help=f"comma-separated subset of {','.join(SCHEDULES)}")
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--train-frac", type=float, default=0.8)
     bench.add_argument("-o", "--output", help="report CSV path (default: stdout)")

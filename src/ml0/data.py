@@ -102,6 +102,14 @@ class Dataset:
         return Dataset._checked(self._X[indices], y)
 
 
+def _check_in_memory(data, name):
+    """Raise TypeError unless `data` is an in-memory Dataset, before `name`
+    reads any sample byte of a stream."""
+    if not isinstance(data, Dataset):
+        raise TypeError(f"{name} needs an in-memory Dataset (for example from "
+                        f"ml0.load_dataset), got {type(data).__name__}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Planted-block matrix classification task.
@@ -172,6 +180,7 @@ def generate_synthetic(cfg: SyntheticConfig):
 
 def split(ds: Dataset, train_fraction: float, seed: int):
     """Stratified seeded train/test split with class proportions kept up to rounding."""
+    _check_in_memory(ds, "split")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must lie in (0, 1), got {train_fraction}")
     rng = np.random.Generator(np.random.PCG64(_check_integer("seed", seed, 0)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import _check_in_memory
 from .kernels import _stacked, contract_down, contract_samples
 from .tensor import DenseTensor, _check_integer, _frozen, _row_dots, _support, contract_full
 
@@ -221,12 +221,10 @@ def block_step(G, w, bias, labels, lam, gamma):
     return grad, gamma * (SQRT2 * float(((row_norms + 1.0) ** 2).sum()) + lam)
 
 
-def _block_step_at(params, data, problem, j):
+def _block_step_at(params, data, problem, j, name):
     if not 0 <= j < params.order:
         raise IndexError(f"block index {j} out of range for {params.order} blocks")
-    if not isinstance(data, Dataset):
-        raise TypeError("grad_block and lipschitz_block need an in-memory Dataset (for example "
-                        f"from ml0.load_dataset), got {type(data).__name__}")
+    _check_in_memory(data, name)
     _check_shapes(params.blocks, data, problem)
     G = grad_direction_batch(data.X, params.blocks, j)
     return block_step(G, params.blocks[j], params.bias, data.y, problem.ridge[j], problem.gamma)
@@ -234,7 +232,7 @@ def _block_step_at(params, data, problem, j):
 
 def grad_block(params: ModelParams, data, problem: Problem, j: int) -> np.ndarray:
     """Partial gradient of the smooth loss with respect to block j."""
-    return _block_step_at(params, data, problem, j)[0]
+    return _block_step_at(params, data, problem, j, "grad_block")[0]
 
 
 def grad_bias(params: ModelParams, data) -> float:
@@ -249,7 +247,7 @@ def lipschitz_block(params: ModelParams, data, problem: Problem, j: int) -> floa
     The bound depends on the per-sample gradient-direction norms, so it must
     be recomputed whenever any other block changes.
     """
-    return _block_step_at(params, data, problem, j)[1]
+    return _block_step_at(params, data, problem, j, "lipschitz_block")[1]
 
 
 def lipschitz_bias(data, problem: Problem) -> float:

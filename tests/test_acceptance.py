@@ -1,9 +1,10 @@
 """Acceptance suite: one test per release criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The solver criteria share a
-bundle of 10 seeded desk-scale runs (30x30 samples, planted 5x5 block, 100
-per class, reference hyperparameters t=1.3, beta1=0.6, beta_max=0.9999,
-gamma=1.5, lambda=2e-4, tolerances 1e-5/1e-4, 2000 iterations / 60 s budget).
+bundle of 10 seeded desk-scale runs per schedule (30x30 samples, planted 5x5
+block, 100 per class, reference hyperparameters t=1.3, beta1=0.6,
+beta_max=0.9999, gamma=1.5, lambda=2e-4, tolerances 1e-5/1e-4, 2000
+iterations / 60 s budget).
 """
 
 import itertools
@@ -46,18 +47,24 @@ class BundleRun:
 @dataclass
 class Bundle:
     apalm_plus: list = field(default_factory=list)
+    apalm: list = field(default_factory=list)
     bpgd: list = field(default_factory=list)
+
+    def runs(self):
+        """Every run, all three schedules."""
+        return self.apalm_plus + self.apalm + self.bpgd
 
 
 @pytest.fixture(scope="session")
 def desk_bundle():
-    """10 seeds x {apalm+, bpgd} at reference settings."""
+    """10 seeds x {apalm+, apalm, bpgd} at reference settings."""
     ds, _ = ml0.generate_synthetic(DESK)
     bundle = Bundle()
     for seed in SEEDS:
         train, test = ml0.split(ds, 0.8, seed=seed)
         init = ml0.random_init(train.feature_dims, DESK_PROBLEM.sparsity, seed=seed)
-        for schedule, bucket in (("apalm+", bundle.apalm_plus), ("bpgd", bundle.bpgd)):
+        for schedule, bucket in (("apalm+", bundle.apalm_plus), ("apalm", bundle.apalm),
+                                 ("bpgd", bundle.bpgd)):
             violations = 0
 
             def hook(k, blocks, bias):
@@ -234,19 +241,18 @@ def test_criterion_04_monotone_descent_and_sufficient_decrease(desk_bundle):
     worst_uphill = -math.inf
     sd_violations = 0
     sd_worst = -math.inf
-    for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd):
-        for entry in bucket:
-            J = [row.objective for row in entry.result.trace]
-            worst_uphill = max(
-                worst_uphill, max(b - a for a, b in zip(J, J[1:]))
-            )
-            rep = diagnose_sufficient_decrease(entry.result)
-            sd_violations += rep.violations
-            sd_worst = max(sd_worst, rep.max_violation)
+    for entry in desk_bundle.runs():
+        J = [row.objective for row in entry.result.trace]
+        worst_uphill = max(
+            worst_uphill, max(b - a for a, b in zip(J, J[1:]))
+        )
+        rep = diagnose_sufficient_decrease(entry.result)
+        sd_violations += rep.violations
+        sd_worst = max(sd_worst, rep.max_violation)
     report(
         4,
         worst_uphill <= 1e-10 and sd_violations == 0,
-        f"20 runs: max uphill step {worst_uphill:.2e} (<= 1e-10), "
+        f"30 runs: max uphill step {worst_uphill:.2e} (<= 1e-10), "
         f"{sd_violations} squared-gap decrease violations (worst {sd_worst:.2e})",
     )
 
@@ -268,20 +274,12 @@ def test_criterion_05_iterate_gap_decay(deep_runs):
 
 
 def test_criterion_06_feasibility_every_iterate(desk_bundle):
-    violations = sum(
-        entry.support_violations
-        for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd)
-        for entry in bucket
-    )
-    iterates = sum(
-        len(entry.result.trace)
-        for bucket in (desk_bundle.apalm_plus, desk_bundle.bpgd)
-        for entry in bucket
-    )
+    violations = sum(entry.support_violations for entry in desk_bundle.runs())
+    iterates = sum(len(entry.result.trace) for entry in desk_bundle.runs())
     report(
         6,
         violations == 0,
-        f"{iterates} recorded iterates across 20 runs, {violations} sparsity-cap violations",
+        f"{iterates} recorded iterates across 30 runs, {violations} sparsity-cap violations",
     )
 
 

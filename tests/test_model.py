@@ -42,6 +42,7 @@ from ml0 import (
     save_dataset,
     save_params,
     smooth_loss,
+    split,
 )
 from ml0.model import _dloss_dmargin, grad_direction_batch, margin_batch, objective_from_margins
 
@@ -612,19 +613,27 @@ class TestStreamedMargins:
                 read(params, stream)
         assert np.array_equal(got, read(params, load_dataset(path)))
 
-    @pytest.mark.parametrize("step", [grad_block, lipschitz_block])
-    def test_block_steps_refuse_a_stream_before_any_sample_byte(self, tmp_path, monkeypatch,
-                                                                 step):
-        """Both read the sample array of an in-memory Dataset; a stream made
-        them raise AttributeError naming `X`."""
+    @pytest.mark.parametrize("name, call", [
+        ("grad_block", lambda params, stream, problem: grad_block(params, stream, problem, 0)),
+        ("lipschitz_block",
+         lambda params, stream, problem: lipschitz_block(params, stream, problem, 0)),
+        ("run", lambda params, stream, problem: run(problem, stream, params, SolverConfig())),
+        ("split", lambda params, stream, problem: split(stream, 0.5, seed=0)),
+    ], ids=["grad_block", "lipschitz_block", "run", "split"])
+    def test_in_memory_readers_refuse_a_stream_before_any_sample_byte(self, tmp_path,
+                                                                      monkeypatch, name, call):
+        """Each reads the sample array of an in-memory Dataset; a stream made
+        them raise AttributeError naming `X` (`subset` for split)."""
         path, params = self.saved(tmp_path, np.random.default_rng(44), 4, (3, 2))
         problem = Problem(ridge=(2e-4, 2e-4), sparsity=(3, 2))
         with DatasetStream(path) as stream:
             monkeypatch.setattr(stream, "_read", lambda product: pytest.fail("read samples"))
-            with pytest.raises(TypeError, match=r"need an in-memory Dataset \(for example from "
-                                                r"ml0\.load_dataset\), got DatasetStream$"):
-                step(params, stream, problem, 0)
+            with pytest.raises(TypeError, match=rf"^{name} needs an in-memory Dataset \(for "
+                                                r"example from ml0\.load_dataset\), got "
+                                                r"DatasetStream$"):
+                call(params, stream, problem)
             monkeypatch.undo()
+            assert not stream._spent
             m = margins(params, stream)  # the stream's one pass is still unspent
         assert m.tobytes() == margins(params, load_dataset(path)).tobytes()
 

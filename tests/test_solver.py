@@ -15,6 +15,8 @@ from ml0 import (
     check_stop,
     diagnose_sufficient_decrease,
     generate_synthetic,
+    grad_bias,
+    grad_block,
     lipschitz_bias,
     nesterov_beta,
     project_l0,
@@ -291,29 +293,26 @@ class TestRunInvariants:
         config = SolverConfig(schedule=schedule, max_iters=120, **kwargs)
         return run(problem, data, init, config), problem
 
-    @pytest.mark.parametrize("schedule", ["apalm+", "bpgd"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_monotone_descent(self, schedule):
         result, _ = self.run_toy(schedule)
         J = [row.objective for row in result.trace]
         assert all(b <= a + 1e-10 for a, b in zip(J, J[1:]))
 
-    def test_only_apalm_may_raise_the_objective_on_desk_data(self):
-        # The CLI help names apalm+ and bpgd as the monotone schedules. On the
-        # desk data, apalm raises the recorded objective while every
-        # step still meets the sufficient decrease from its own base point.
+    def test_no_schedule_raises_the_objective_on_desk_data(self):
+        # Every schedule keeps an extrapolated point only if it does not raise
+        # the objective, so the recorded objective never rises, and every
+        # step meets the sufficient decrease from its own base point.
         ds, _ = generate_synthetic(
             SyntheticConfig(rows=30, cols=30, block=5, per_class=100, margin=0.5, seed=0))
         train, _ = split(ds, 0.8, seed=2)
         problem = Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9))
         init = random_init(train.feature_dims, problem.sparsity, seed=2)
-        rises = {}
-        for schedule in ("apalm", "apalm+", "bpgd"):
+        for schedule in SCHEDULES:
             result = run(problem, train, init, SolverConfig(schedule=schedule, max_iters=20000))
             J = [row.objective for row in result.trace]
-            rises[schedule] = sum(b > a for a, b in zip(J, J[1:]))
+            assert sum(b > a for a, b in zip(J, J[1:])) == 0, schedule
             assert diagnose_sufficient_decrease(result).violations == 0, schedule
-        assert rises["apalm"] >= 1
-        assert rises["apalm+"] == rises["bpgd"] == 0
 
     def test_every_iterate_feasible(self):
         counts = []
@@ -361,14 +360,15 @@ class TestRunInvariants:
         assert all(row.beta == 0.0 for row in result.trace)
 
     def test_apalm_betas_follow_recursion(self):
+        """The t_k recursion, restarted from t = 1 after each rejection."""
         result, _ = self.run_toy("apalm")
         betas = [row.beta for row in result.trace]
         t_k, expect = 1.0, [0.0]
-        for _ in range(len(betas) - 1):
-            t_k, b = nesterov_beta(t_k)
+        for row in result.trace[:-1]:
+            t_k, b = nesterov_beta(t_k if row.accepted else 1.0)
             expect.append(b)
         np.testing.assert_allclose(betas, expect, rtol=1e-14)
-        assert all(row.accepted for row in result.trace)
+        assert not all(row.accepted for row in result.trace)  # the toy restarts
 
     def test_trace_objective_finite_everywhere(self):
         for schedule in SCHEDULES:
@@ -471,7 +471,7 @@ class TestDiagnostics:
         data = toy_dataset(rng, n=30, dims=(5, 4))
         problem = toy_problem(data.feature_dims, s=3)
         init = random_init(data.feature_dims, problem.sparsity, seed=9)
-        for schedule in ("apalm+", "bpgd"):
+        for schedule in SCHEDULES:
             result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=150))
             report = diagnose_sufficient_decrease(result)
             assert report.violations == 0
@@ -589,8 +589,8 @@ class TestCachedPartials:
             def checked_family(X_, y, blocks, margins, ridge, last_direction, partial=None):
                 assert all(b is w for b, w in zip(blocks, state["blocks"]))
                 state["stop"] = True
-                family, P = gradient_family(X_, y, blocks, margins, ridge, last_direction,
-                                            partial)
+                family, dirs, P = gradient_family(X_, y, blocks, margins, ridge,
+                                                  last_direction, partial)
                 state["stop"] = False
                 m = margin_batch(X, blocks, state["bias"])
                 coeff = loss_coefficients(m, y)
@@ -601,9 +601,10 @@ class TestCachedPartials:
                     rel_err([P], [scratch_partial(blocks[-1])]),
                     rel_err([margins], [m]),
                     rel_err([last_direction], [directions[-1]]),
+                    rel_err(dirs, directions),
                     rel_err(family, want),
                 ])
-                return family, P
+                return family, dirs, P
 
             def hook(k, blocks, bias):
                 state.update(k=k, blocks=blocks, bias=bias)
@@ -652,6 +653,71 @@ class TestCachedPartials:
             assert per_iteration.tolist() == [want] * len(per_iteration), init.order
             # One more pass computes the initial objective.
             assert passes[0] == 1 + want * len(result.trace)
+
+
+def scratch_residual(params, data, problem):
+    """The L-stationarity residual at `params`, every term from the public
+    gradients and from directions contracted out of X."""
+    r = abs(grad_bias(params, data)) / data.n
+    for j, (w, lam, s) in enumerate(zip(params.blocks, problem.ridge, problem.sparsity)):
+        G = grad_direction_batch(data.X, params.blocks, j)
+        L = np.linalg.norm(G) ** 2 / 4.0 + lam
+        g = grad_block(params, data, problem, j)
+        r = max(r, L * np.linalg.norm(w - project_l0(w - g / L, s)) / data.n)
+    return r
+
+
+class TestStationarityResidual:
+    """`SolveResult.final_residual`: the L-stationarity residual at the final
+    iterate, from the last stop test's gradients, or from scratch at the
+    initial point when no iteration ran."""
+
+    @staticmethod
+    def fixed_point():
+        """Pairs of equal integer samples with opposite labels, and weights on
+        an entry that every sample holds at 0: the margins are 0, so each
+        loss coefficient is -y/2 and every gradient cancels exactly."""
+        rng = np.random.default_rng(14)
+        X = np.repeat(rng.integers(-3, 4, size=(6, 3, 4)).astype(float), 2, axis=0)
+        X[:, 0, 0] = 0.0
+        data = Dataset(X, np.tile([1.0, -1.0], 6))
+        problem = Problem(ridge=(0.0, 0.0), sparsity=(1, 1))
+        init = ModelParams(blocks=(np.array([2.0, 0, 0]), np.array([-1.0, 0, 0, 0])), bias=0.0)
+        return data, problem, init
+
+    @pytest.mark.parametrize("step", [0.0, 2.0], ids=["iterations", "no-iteration"])
+    def test_zero_at_a_hand_built_fixed_point(self, step):
+        data, problem, init = self.fixed_point()
+        for j in range(2):  # both blocks count: their moduli are positive
+            assert np.linalg.norm(grad_direction_batch(data.X, init.blocks, j)) > 0.0
+        result = run(problem, data, init, SolverConfig(max_iters=5, max_seconds=1.0),
+                     time_source=FakeClock(step))
+        assert len(result.trace) == (2 if step == 0.0 else 0)
+        assert result.final_residual == 0.0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(result.params.blocks, init.blocks))
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_matches_scratch(self, schedule):
+        """At desk shape (order 2) and on toys of order 3 and 1; the final
+        params are bitwise the last iterate the hook saw."""
+        for data, problem, init in cache_runs():
+            last = []
+            result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=400),
+                         iterate_hook=lambda k, blocks, bias: last.append((blocks, bias)))
+            want = scratch_residual(result.params, data, problem)
+            assert want > 0.0
+            assert abs(result.final_residual - want) <= 1e-12 * want, init.order
+            blocks, bias = last[-1]
+            assert [b.tobytes() for b in result.params.blocks] == [b.tobytes() for b in blocks]
+            assert result.params.bias == bias
+
+    def test_matches_scratch_when_no_iteration_ran(self):
+        for data, problem, init in cache_runs():
+            result = run(problem, data, init, SolverConfig(max_seconds=1.0),
+                         time_source=FakeClock(step=2.0))
+            assert result.trace == [] and result.stop_reason == "max_seconds"
+            want = scratch_residual(init, data, problem)
+            assert abs(result.final_residual - want) <= 1e-12 * want, init.order
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
