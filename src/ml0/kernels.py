@@ -35,8 +35,10 @@ use it. `_stacked` is the same product into a given output on the calling
 thread: the model's margins contract a range's chunks with it. From
 `tensor._GATHER_MIN_SAMPLE` elements per sample, a range contracts each row
 of its chunks in a product of its own instead (`tensor._row_dots`), so a
-sample's margin can be taken from the rows its sparse weights select; the
-solver's passes are unchanged.
+sample's margin can be taken from the rows its sparse weights select. From
+the same size on, the solver's two passes per iteration contract compact
+copies of X that hold only the slabs the supports select
+(`solver._Passes`), through `contract_mode` like any other array.
 """
 
 import math

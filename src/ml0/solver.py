@@ -23,6 +23,12 @@ the new iterate's P. That is two passes over X per iteration at any order
 p >= 2. At order 1 the only direction is X itself and P is the margin
 vector minus the bias, which the sweep computes anyway, so neither test
 contracts X.
+
+Both passes go through one seam, `_Passes`. Once a sample is large enough
+that scoring reads only its selected rows (`tensor._gathers`), each pass
+contracts a compact copy of X that holds only the slabs the supports of the
+contracted blocks select, once those supports have held for a few passes,
+so an iteration reads a fraction of X's bytes.
 """
 
 import math
@@ -48,9 +54,14 @@ from .model import (
     smooth_loss_from_margins,
 )
 from .prox import prox_block_step
-from .tensor import _check_integer
+from .tensor import _check_integer, _gathered, _gathers
 
 SCHEDULES = ("apalm+", "apalm", "bpgd")
+
+# A compact pass first builds its copy of X once its kept indices have held
+# for this many of its calls: about what a build costs in passes over X at
+# 200x200 (a 25-45 ms `take` against a 14.5 ms pass; README "Performance").
+_HOLD_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -159,30 +170,108 @@ def random_init(dims, sparsity, seed):
     return ModelParams(blocks=tuple(blocks), bias=0.0)
 
 
-def _objective_at(X, y, blocks, bias, ridge, sparsity, partial=None):
+class _Passes:
+    """The solver's two passes over the sample array X: `direction`, the
+    last block's gradient direction (X contracted with w_1..w_{p-1}), and
+    `partial`, P = X x_p w_p.
+
+    From `tensor._GATHER_MIN_SAMPLE` elements per sample (`tensor._gathers`)
+    each pass contracts a compact copy of X instead: `direction` X taken on
+    the kept indices K_1 x ... x K_{p-1} of sample axes 1..p-1, `partial` X
+    taken on K_p along axis p, each with the w_j[K_j] (`tensor._gathered`).
+    X is finite, so a zero weight on a kept index adds an exact zero: every
+    entry is still computed, equal to the dense pass up to summation order.
+
+    Each K_j starts as supp(w_j) and only grows: when the support leaves it,
+    K_j becomes K_j | supp(w_j) and its pass's copy is dropped, so an index
+    that moves in and out is added once. A pass takes its copy (one `take`)
+    once its K_j have held for `hold` of its calls, and contracts X until
+    then. `hold` starts at `_HOLD_PASSES` and doubles each time a built copy
+    is dropped, so a pass builds at most log2(1 + calls / _HOLD_PASSES)
+    copies however often the supports change. A copy that would hold none
+    of X or more than half of it is not built, so the two copies never hold
+    more than X together. Below the cutoff both passes contract X.
+    """
+
+    def __init__(self, X):
+        self.X = X
+        p = X.ndim - 1
+        # The sample axes each pass takes: 1..p-1 for `direction`, p for `partial`.
+        self.groups = (range(1, p), range(p, p + 1)) if _gathers(X[0].size) else ((), ())
+        self.kept = [None] * p  # K_j, sorted indices of axis j
+        self.copies = [None, None]
+        self.held = [0, 0]  # each pass's calls since its K_j last grew
+        self.hold = [_HOLD_PASSES] * 2  # calls to hold before a build
+
+    def _take(self, g, blocks):
+        """The array pass g contracts, and `blocks` with those of its axes
+        taken on their K_j."""
+        axes = self.groups[g]
+        if not axes:
+            return self.X, blocks
+        for a in axes:
+            w, K = blocks[a - 1], self.kept[a - 1]
+            if K is None or np.count_nonzero(w[K]) < np.count_nonzero(w):
+                s = w.nonzero()[0]
+                self.kept[a - 1] = s if K is None else np.union1d(K, s)
+                if self.copies[g] is not None:
+                    self.copies[g] = None  # freed before its successor is built
+                    self.hold[g] *= 2
+                self.held[g] = 0
+        rows, taken = _gathered([blocks[a - 1] for a in axes], [self.kept[a - 1] for a in axes])
+        self.held[g] += 1
+        if self.held[g] == self.hold[g]:
+            X = self.X
+            dims = X.shape[axes[0] : axes[-1] + 1]
+            sizes = tuple(w.size for w in taken)
+            if 0 < 2 * math.prod(sizes) <= math.prod(dims):
+                # One take of the flat indices of K_a x ... on an
+                # (n, outer, prod(dims), inner) view of X.
+                view = X.reshape(len(X), math.prod(X.shape[1 : axes[0]]), math.prod(dims), -1)
+                self.copies[g] = view.take(rows, axis=2).reshape(
+                    X.shape[: axes[0]] + sizes + X.shape[axes[-1] + 1 :])
+        if self.copies[g] is None:
+            return self.X, blocks
+        blocks = list(blocks)
+        blocks[axes[0] - 1 : axes[-1]] = taken
+        return self.copies[g], blocks
+
+    def direction(self, blocks):
+        """Rows g_s of the last block's gradient direction at `blocks`."""
+        arr, blocks = self._take(0, blocks)
+        return grad_direction_batch(arr, blocks, len(blocks) - 1)
+
+    def partial(self, blocks):
+        """P = X x_p w_p at `blocks`."""
+        arr, blocks = self._take(1, blocks)
+        return contract_mode(arr, blocks[-1], len(blocks))
+
+
+def _objective_at(passes, y, blocks, bias, ridge, sparsity, partial=None):
     """Objective at (blocks, bias) and the partial P = X x_p w_p there.
 
     A given `partial` must be P at `blocks`; without one, P costs one pass
-    over X. The margins are P contracted with the other blocks plus the bias.
+    of `passes`. The margins are P contracted with the other blocks plus the
+    bias.
     """
     if partial is None:
-        partial = contract_mode(X, blocks[-1], len(blocks))
+        partial = passes.partial(blocks)
     m = margin_batch(partial, blocks[:-1], bias)
     return objective_from_margins(m, y, blocks, ridge, sparsity), partial
 
 
-def _gradient_family(X, y, blocks, margins, ridge, last_direction, partial=None):
+def _gradient_family(passes, y, blocks, margins, ridge, last_direction, partial=None):
     """Smooth-gradient family [g_1, ..., g_p, [g_bias]] at a fixed state, the
     gradient directions [G_1, ..., G_p] it was computed from, and the partial
     P = X x_p w_p there.
 
     `last_direction` is the gradient direction of the last block at this
     state, which the sweep has just computed. Without a given `partial`, P
-    costs the one pass over X; the other directions follow from P.
+    costs the one pass of `passes`; the other directions follow from P.
     """
     p = len(blocks)
     if partial is None:
-        partial = contract_mode(X, blocks[-1], p)
+        partial = passes.partial(blocks)
     coeff = loss_coefficients(margins, y)
     directions = [grad_direction_batch(partial, blocks[:-1], j) for j in range(p - 1)]
     directions.append(last_direction)
@@ -233,14 +322,15 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     if not is_feasible(init.blocks, problem.sparsity):
         raise ValueError("initial point violates its sparsity caps")
 
-    X, y, n = data.X, data.y, data.n
+    y, n = data.y, data.n
+    passes = _Passes(data.X)
     ridge, sparsity, gamma = problem.ridge, problem.sparsity, problem.gamma
     tau_bias = lipschitz_bias(data, problem)
 
     cur = prev = list(init.blocks)  # read-only; every step makes new blocks
     cur_b = prev_b = init.bias
     # Cached partials P = X x_p w_p at the current and previous iterates.
-    J_cur, P_cur = _objective_at(X, y, cur, cur_b, ridge, sparsity)
+    J_cur, P_cur = _objective_at(passes, y, cur, cur_b, ridge, sparsity)
     if not math.isfinite(J_cur):
         raise ValueError("objective is not finite at the initial point")
     P_prev = P_cur
@@ -271,7 +361,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             P_y = P_cur - P_prev
             P_y *= beta
             P_y += P_cur
-            J_y, _ = _objective_at(X, y, y_blocks, y_bias, ridge, sparsity, P_y)
+            J_y, _ = _objective_at(passes, y, y_blocks, y_bias, ridge, sparsity, P_y)
             if J_y <= J_cur:
                 base, base_b, J_base, P_base = y_blocks, y_bias, J_y, P_y
             else:
@@ -295,7 +385,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             if j < p - 1:
                 G = grad_direction_batch(P_base, work[:-1], j)
             else:
-                G = grad_direction_batch(X, work, j)
+                G = passes.direction(work)
             grad, tau = block_step(G, work[j], base_b, y, ridge[j], gamma)
             work[j] = prox_block_step(work[j], grad, tau, sparsity[j])
             min_tau = min(min_tau, tau)
@@ -321,7 +411,7 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
         # The stop test reuses G; its pass over X is the next P_cur. At order
         # 1, P is the margin vector minus the bias, which the sweep computed.
         grads_now, directions, P_new = _gradient_family(
-            X, y, work, m_final, ridge, G, s_last if p == 1 else None
+            passes, y, work, m_final, ridge, G, s_last if p == 1 else None
         )
         # Velocity memory runs over consecutive iterates; the accepted
         # extrapolated point only serves as the base of the sweep.
@@ -338,8 +428,8 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
     if grads_now is None:  # no iteration ran
         m = margin_batch(P_cur, cur[:-1], cur_b)
-        G = grad_direction_batch(X, cur, p - 1)
-        grads_now, directions, _ = _gradient_family(X, y, cur, m, ridge, G, P_cur)
+        G = passes.direction(cur)
+        grads_now, directions, _ = _gradient_family(passes, y, cur, m, ridge, G, P_cur)
     residual = _stationarity_residual(cur, grads_now, directions, ridge, sparsity, n)
     params = ModelParams(blocks=tuple(cur), bias=cur_b)
     return SolveResult(params=params, trace=trace, stop_reason=stop_reason,

@@ -178,6 +178,13 @@ def _row_dots(arr, v, out=None):
     return np.matmul(arr.reshape(-1, 1, v.size), v, out=None if out is None else out.reshape(-1, 1))
 
 
+def _gathers(size):
+    """Whether a sample of `size` elements is read only on the indices its
+    weights' supports select: `_support` for scoring, `solver._Passes` for
+    training."""
+    return size >= _GATHER_MIN_SAMPLE
+
+
 def _support(blocks, size):
     """The rows a sample of `size` elements is scored from, and the leading
     blocks w_1..w_{p-1} (float64 vectors) it is then contracted with:
@@ -186,25 +193,34 @@ def _support(blocks, size):
 
     Below `_GATHER_MIN_SAMPLE` elements, and wherever every support S_k is
     its whole block, the rows are None (every row) and the blocks w_k
-    themselves. Otherwise the rows are the C-order flat indices of
-    S_1 x ... x S_{p-1}, so the gathered rows stack as
-    (|S_1|, ..., |S_{p-1}|, d_p), and the blocks are the w_k[S_k]. The
-    blocks are None when some S_k is empty: every product of the sample is
-    then 0."""
-    if size < _GATHER_MIN_SAMPLE:
+    themselves. Otherwise they are `_gathered(blocks[:-1], supports)`, so
+    the gathered rows stack as (|S_1|, ..., |S_{p-1}|, d_p). The blocks are
+    None when some S_k is empty: every product of the sample is then 0."""
+    if not _gathers(size):
         return None, blocks[:-1]
-    rows, lead, whole = None, [], True
-    for w in blocks[:-1]:
+    lead, supports, whole = blocks[:-1], [], True
+    for w in lead:
         s = w.nonzero()[0]
         if not s.size:
             return None, None
-        if s.size == w.size:
-            lead.append(w)
-        else:
-            whole = False
-            lead.append(w[s])
-        rows = s if rows is None else (rows[:, None] * w.size + s).reshape(-1)
-    return (None if whole else rows), lead
+        whole = whole and s.size == w.size
+        supports.append(s)
+    if whole:
+        return None, lead
+    return _gathered(lead, supports)
+
+
+def _gathered(blocks, kept):
+    """The C-order flat indices of K_1 x ... x K_k in the (d_1 ... d_k) view
+    of the axes of `blocks` w_1..w_k, and the blocks w_j[K_j] they are
+    contracted with: scoring takes the sample's rows on the supports
+    (`_support`), training takes X's slabs on its kept indices
+    (`solver._Passes`)."""
+    rows, taken = None, []
+    for w, K in zip(blocks, kept):
+        rows = K if rows is None else (rows[:, None] * w.size + K).reshape(-1)
+        taken.append(w[K])
+    return rows, taken
 
 
 def _shape_mismatch(blocks, dims):

@@ -282,10 +282,12 @@ def test_forked_child_contracts_after_parent_split(split_calls, monkeypatch):
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
-def test_solve_above_cutoff_calls_ml0_on_main_thread(range_calls, monkeypatch):
+@pytest.mark.parametrize("passes", ["dense", "compact"])
+def test_solve_above_cutoff_calls_ml0_on_main_thread(range_calls, monkeypatch, passes):
     """Every public ml0 function runs on the main thread during a solve whose
-    sample array takes the split, so a single-threaded wrapper (such as a
-    span tracer) around them stays consistent."""
+    passes take the split, over X itself or over its compact copies, so a
+    single-threaded wrapper (such as a span tracer) around them stays
+    consistent."""
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     layers = ("cli", "data", "model", "kernels", "tensor", "prox", "solver", "metrics")
     modules = [importlib.import_module(f"ml0.{name}") for name in layers]
@@ -306,7 +308,12 @@ def test_solve_above_cutoff_calls_ml0_on_main_thread(range_calls, monkeypatch):
 
     rng = np.random.default_rng(15)
     n, dims = 8, (130, 130)
-    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * dims[0] * dims[1])  # X takes the split
+    if passes == "dense":
+        monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1 << 62)
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * dims[0] * dims[1])  # X takes the split
+    else:  # each copy keeps 20 of the 130 indices of its axis, and takes the split
+        assert ml0.tensor._gathers(dims[0] * dims[1])
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * 20 * dims[1])
     data = ml0.Dataset(rng.standard_normal((n,) + dims), np.array([1.0, -1.0] * (n // 2)))
     problem = ml0.Problem(ridge=(1e-3, 1e-3), sparsity=(20, 20))
     init = ml0.random_init(dims, problem.sparsity, seed=3)

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ml0 import (
     split,
     write_trace_csv,
 )
-from ml0 import kernels, solver
+from ml0 import kernels, solver, tensor
 from ml0.model import (
     grad_direction_batch,
     logistic_terms,
@@ -536,6 +538,70 @@ def cache_runs():
     ]
 
 
+PASSES = solver._Passes
+
+
+Pass = collections.namedtuple(
+    "Pass", "g blocks compact covered share held hold result")
+
+
+def recording_passes(monkeypatch, results=True):
+    """Swap `solver._Passes` for a subclass that keeps every instance `run`
+    makes and records each of its passes in `calls` as a `Pass`: its number
+    g (0 direction, 1 partial), its blocks, whether it contracted a copy,
+    whether each K_j held supp(w_j) and every index it held before, the
+    share of X its kept indices select, its calls since they last grew
+    (this one included), the calls it must hold for before a build
+    (`solver._HOLD_PASSES`, doubled whenever a built copy is dropped) and
+    its result (None without `results`). Per pass it counts the copies
+    built in `builds`, and it keeps the most bytes the live copies held at
+    once in `most`. It holds no reference to a copy that `run` has let go;
+    returns the list of instances."""
+    made = []
+
+    class Recording(PASSES):
+        def __init__(self, X):
+            super().__init__(X)
+            self.builds, self.calls, self.most = [0, 0], [], 0
+            self.since, self.wait = [0, 0], [solver._HOLD_PASSES] * 2
+            made.append(self)
+
+        def _take(self, g, blocks):
+            axes = self.groups[g]
+            before, copy = [self.kept[a - 1] for a in axes], self.copies[g]
+            arr, taken = super()._take(g, blocks)
+            grew = any(self.kept[a - 1] is not k for a, k in zip(axes, before))
+            self.since[g] = 1 if grew else self.since[g] + 1
+            self.wait[g] *= 2 if grew and copy is not None else 1
+            self.builds[g] += self.copies[g] is not None and self.copies[g] is not copy
+            kept = [set(self.kept[a - 1]) for a in axes]
+            covered = all(set(np.flatnonzero(blocks[a - 1])) | set(() if k is None else k) <= K
+                          for a, k, K in zip(axes, before, kept))
+            share = math.prod(map(len, kept)) / math.prod(self.X.shape[a] for a in axes)
+            self.most = max(self.most, sum(c.nbytes for c in self.copies if c is not None))
+            self.last = (arr is not self.X, covered, share, self.since[g], self.wait[g])
+            return arr, taken
+
+        def direction(self, blocks):
+            G = super().direction(blocks)
+            self.calls.append(Pass(0, list(blocks), *self.last, G if results else None))
+            return G
+
+        def partial(self, blocks):
+            P = super().partial(blocks)
+            self.calls.append(Pass(1, list(blocks), *self.last, P if results else None))
+            return P
+
+    monkeypatch.setattr(solver, "_Passes", Recording)
+    return made
+
+
+def follows_the_rule(call):
+    """A pass contracts its copy exactly when its kept indices select at most
+    half of X and have held for as many of its calls as it must hold."""
+    return call.compact == (0 < call.share <= 0.5 and call.held >= call.hold)
+
+
 def rel_err(got, want):
     """Relative 2-norm error of a flattened array or family of arrays."""
     got = np.concatenate([np.ravel(g) for g in got])
@@ -628,18 +694,26 @@ class TestCachedPartials:
             if schedule != "bpgd":
                 assert any(row.beta > 0.0 and row.accepted for row in result.trace)
 
+    @pytest.mark.parametrize("gate", ["below", "above"])
     @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_passes_over_x_per_iteration(self, monkeypatch, schedule):
+    def test_passes_over_x_per_iteration(self, monkeypatch, schedule, gate):
         """Order p >= 2 contracts X twice per iteration (the last block's sweep
         direction and the new iterate's partial). Order 1 contracts X in no
         iteration; before the cached partial, its extrapolation test did
-        once per iteration."""
+        once per iteration. A pass over a compact copy of X counts as a pass
+        over X: above the gather cutoff (forced here) the passes contract
+        copies, and the count is the same."""
         contract_mode = kernels.contract_mode
         for data, problem, init in cache_runs():
-            passes, marks = [0], []
+            passes, compact, marks = [0], [0], []
+            if gate == "above":
+                monkeypatch.setattr(tensor, "_GATHER_MIN_SAMPLE", 1)
+            made = recording_passes(monkeypatch)
 
             def counted(arr, v, axis):
-                passes[0] += arr is data.X
+                copy = any(arr is c for c in made[-1].copies)
+                passes[0] += arr is data.X or copy
+                compact[0] += copy
                 return contract_mode(arr, v, axis)
 
             monkeypatch.setattr(kernels, "contract_mode", counted)
@@ -653,6 +727,166 @@ class TestCachedPartials:
             assert per_iteration.tolist() == [want] * len(per_iteration), init.order
             # One more pass computes the initial objective.
             assert passes[0] == 1 + want * len(result.trace)
+            # Above the gate a pass contracts a copy until its kept indices
+            # pass half of their axes, then X.
+            assert compact[0] == sum(call.compact for call in made[-1].calls)
+            # At order 1 the only pass is the initial objective's, too soon
+            # for a copy.
+            assert (compact[0] > 0) == (gate == "above" and init.order > 1)
+
+
+def desk_tol_solves():
+    """(data, problem, init) of the benchmark's ten desk-tol solves."""
+    ds, _ = generate_synthetic(SyntheticConfig(rows=30, cols=30, block=5, per_class=100, seed=0))
+    problem = Problem(ridge=(2e-4, 2e-4), sparsity=(9, 9))
+    out = []
+    for seed in range(10):
+        train, _ = split(ds, 0.8, seed=seed)
+        out.append((train, problem, random_init(train.feature_dims, problem.sparsity, seed=seed)))
+    return out
+
+
+def same_run(a, b):
+    """Bitwise the same trace (the clock aside) and final iterate."""
+    rows = [[dataclasses.replace(row, elapsed_seconds=0.0) for row in r.trace] for r in (a, b)]
+    return (rows[0] == rows[1] and a.stop_reason == b.stop_reason
+            and [w.tobytes() for w in a.params.blocks] == [w.tobytes() for w in b.params.blocks]
+            and a.params.bias == b.params.bias)
+
+
+class TestCompactPasses:
+    """From `tensor._GATHER_MIN_SAMPLE` elements per sample the solver's two
+    passes contract compact copies of X (`solver._Passes`), each built once
+    its kept indices have held for a while. Forced here on desk-shaped data,
+    where the supports change early, so copies are dropped and rebuilt
+    within a run, and on toys of order 3 and 1."""
+
+    @staticmethod
+    def runs():
+        """The third desk-tol solve, whose supports leave their kept indices
+        within 300 iterations under every schedule, and the toys of order 3
+        and 1 of `cache_runs`."""
+        return [desk_tol_solves()[2]] + cache_runs()[1:]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_each_pass_matches_dense_and_keeps_the_supports(self, monkeypatch, schedule):
+        """Every pass equals the dense pass within 1e-13 of the sum of its
+        absolute terms; K_j covers supp(w_j) and only grows; a pass contracts
+        its copy exactly when the hold and the size rule allow, and the
+        doubling hold bounds its builds."""
+        monkeypatch.setattr(tensor, "_GATHER_MIN_SAMPLE", 1)
+        for data, problem, init in self.runs():
+            X, p = data.X, init.order
+            made = recording_passes(monkeypatch)
+            result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=300))
+            (passes,) = made
+            # Order 1 has no direction pass: its direction is X itself.
+            assert len(passes.calls) == (2 if p > 1 else 1) * len(result.trace) + 1 > 10
+            absX = np.abs(X)
+            assert any(call.compact for call in passes.calls) == (p > 1)
+            for call in passes.calls:
+                g, blocks, got = call.g, call.blocks, call.result
+                assert call.covered and follows_the_rule(call), (p, g)
+                mags = [np.abs(w) for w in blocks]
+                if g == 0:
+                    want = grad_direction_batch(X, blocks, p - 1)
+                    terms = grad_direction_batch(absX, mags, p - 1)
+                else:
+                    want = kernels.contract_mode(X, blocks[-1], p)
+                    terms = kernels.contract_mode(absX, mags[-1], p)
+                assert np.all(np.abs(got - want) <= 1e-13 * terms), (p, g)
+            for g in (0, 1):  # the doubling hold bounds the builds
+                calls = sum(call.g == g for call in passes.calls)
+                assert passes.builds[g] <= math.log2(1 + calls / solver._HOLD_PASSES), (p, g)
+            if p == 2:  # a support left its kept indices after the first builds
+                assert sum(passes.builds) > 2, passes.builds
+
+    def test_bits_repeat_on_any_core_count(self, monkeypatch):
+        """With every pass cut into ranges, runs on 1-4 cores, and a repeat,
+        give the same bits."""
+        monkeypatch.setattr(tensor, "_GATHER_MIN_SAMPLE", 1)
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1)
+        for data, problem, init in self.runs():
+            for schedule in SCHEDULES:
+                config = SolverConfig(schedule=schedule, max_iters=150)
+                results = []
+                for cores in (1, 2, 3, 4, 2):
+                    monkeypatch.setattr(kernels, "_usable_cores", lambda c=cores: c)
+                    results.append(run(problem, data, init, config))
+                assert all(same_run(results[0], r) for r in results[1:]), (init.order, schedule)
+
+    @pytest.mark.parametrize("caps, compact", [
+        ((15, 15), (True, True)), ((9, 16), (True, False)), ((16, 9), (False, True)),
+        ((16, 16), (False, False)),
+    ])
+    def test_a_copy_above_half_of_x_is_not_built(self, monkeypatch, caps, compact):
+        """A pass whose kept indices hold more than half of its axes (16 of
+        30) contracts X itself; at half (15 of 30) it takes its copy, from
+        its `_HOLD_PASSES`-th call. Kept indices only grow, so a pass that
+        starts at half contracts X from the first support change that leaves
+        them."""
+        monkeypatch.setattr(tensor, "_GATHER_MIN_SAMPLE", 1)
+        data, _, _ = desk_tol_solves()[2]
+        problem = Problem(ridge=(2e-4, 2e-4), sparsity=caps)
+        init = random_init(data.feature_dims, caps, seed=2)
+        made = recording_passes(monkeypatch)
+        result = run(problem, data, init, SolverConfig(max_iters=50))
+        (passes,) = made
+        assert len(result.trace) == 50
+        for g in (0, 1):
+            calls = [call for call in passes.calls if call.g == g]
+            assert calls[solver._HOLD_PASSES - 1].compact == compact[g], g
+            assert all(map(follows_the_rule, calls)), g
+
+    def test_desk_runs_below_the_gate_contract_x_itself(self, monkeypatch):
+        """At the real cutoff a desk sample (900 elements) is below it: the ten
+        desk-tol solves build no copy and give bitwise the run whose passes
+        contract X itself."""
+        assert not tensor._gathers(30 * 30)
+
+        class Dense(PASSES):
+            def direction(self, blocks):
+                return grad_direction_batch(self.X, blocks, len(blocks) - 1)
+
+            def partial(self, blocks):
+                return kernels.contract_mode(self.X, blocks[-1], len(blocks))
+
+        for data, problem, init in desk_tol_solves():
+            made = recording_passes(monkeypatch)
+            result = run(problem, data, init, SolverConfig())
+            assert made[0].copies == [None, None] and made[0].groups == ((), ())
+            monkeypatch.setattr(solver, "_Passes", Dense)
+            assert same_run(result, run(problem, data, init, SolverConfig()))
+
+    def test_live_copies_never_hold_more_than_x(self, monkeypatch):
+        """A copy is let go before its successor is built, so the live copies
+        never hold more than X. In this run both kept indices grow from 13
+        to 15 of 30, so the last copies are half of X each; a compact run's
+        traced allocation peak exceeds a dense run's by their bytes, and by
+        at most X's and 1% for the kept indices and the sliced blocks. Each
+        run is traced after an untraced one, so one-time imports do not
+        count."""
+        data, problem, _ = desk_tol_solves()[3]
+        problem = dataclasses.replace(problem, sparsity=(13, 13))
+        init = random_init(data.feature_dims, problem.sparsity, seed=3)
+        peaks = []
+        for gate in (1 << 62, 1):
+            monkeypatch.setattr(tensor, "_GATHER_MIN_SAMPLE", gate)
+            run(problem, data, init, SolverConfig(max_iters=300))
+            made = recording_passes(monkeypatch, results=False)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(problem, data, init, SolverConfig(max_iters=300))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        (passes,) = made
+        assert min(passes.builds) >= 2, passes.builds
+        assert [K.size for K in passes.kept] == [15, 15]
+        assert passes.most == data.X.nbytes
+        assert 0.9 * data.X.nbytes <= peaks[1] - peaks[0] <= 1.01 * data.X.nbytes, peaks
 
 
 def scratch_residual(params, data, problem):
