@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _check_in_memory
-from .kernels import _stacked, contract_down, contract_samples
+from .kernels import _stacked, contract_down
 from .tensor import DenseTensor, _check_integer, _frozen, _row_dots, _support, contract_full
 
 SQRT2 = math.sqrt(2.0)
@@ -134,9 +134,11 @@ def margins(params: ModelParams, data) -> np.ndarray:
     hands its chunks to a product that contracts each with the last block
     while in cache into its rows of the partial P; it calls only private
     helpers and numpy. After every thread has joined, the first fault in
-    file order is raised, and P is contracted with the other blocks. Every
-    sample gets its own product, so its margin has the same bits however
-    the samples are chunked or cut into ranges.
+    file order is raised, and `margin_batch` contracts P with the other
+    blocks and adds the bias. Every sample gets its own products, so its
+    margin has the same bits however the samples are chunked or cut into
+    ranges, and below `tensor._GATHER_MIN_SAMPLE` elements per sample the
+    bits of the solver's margin at the same point.
 
     A stream's chunk is checked through those products: only a chunk with a
     non-finite product is scanned, entry by entry, and a non-finite entry
@@ -173,9 +175,7 @@ def margins(params: ModelParams, data) -> np.ndarray:
         return np.zeros(data.n) + params.bias
     if rows is not None:
         P = P.reshape(data.n, -1).take(rows, axis=1).reshape((data.n,) + tuple(v.size for v in rest))
-    for v in reversed(rest):
-        P = contract_samples(P, v)
-    return P + params.bias
+    return margin_batch(P, rest, params.bias)
 
 
 def smooth_loss_from_margins(margins, labels, blocks, ridge) -> float:

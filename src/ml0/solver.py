@@ -252,7 +252,9 @@ def _objective_at(passes, y, blocks, bias, ridge, sparsity, partial=None):
 
     A given `partial` must be P at `blocks`; without one, P costs one pass
     of `passes`. The margins are P contracted with the other blocks plus the
-    bias.
+    bias (`margin_batch`). Below `tensor._GATHER_MIN_SAMPLE` elements per
+    sample, a P from `passes` makes them the products `ml0.margins` takes,
+    so the objective has the bits of `ml0.objective` at the same point.
     """
     if partial is None:
         partial = passes.partial(blocks)

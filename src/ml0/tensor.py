@@ -130,8 +130,8 @@ class DenseTensor:
 def contract_full(t, blocks):
     """Full multilinear form: contract mode p first, then p-1, down to 1,
     each as one product over the remaining sample. That is the product
-    `kernels.contract_samples` gives each sample of a batch, so a sample
-    scored alone has the bits of its margin in the batch.
+    `kernels.contract_mode` gives each sample of a batch on its last axis,
+    so a sample scored alone has the bits of its margin in the batch.
 
     From `_GATHER_MIN_SAMPLE` elements the sample is read only on the rows
     the supports S_k of the leading blocks select (`_support`; only they can

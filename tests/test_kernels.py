@@ -15,9 +15,10 @@ from ml0 import kernels
 
 def test_contract_mode_reduces_axis():
     rng = np.random.default_rng(9)
-    # Extent-1 axes put outer == 1 and inner == 1 on the non-last branch.
+    # Extent-1 axes put outer == 1 and inner == 1 on the non-last branch;
+    # extent-0 axes give empty results of the right shape.
     shapes = [(5,), (1,), (3, 4), (1, 4), (4, 1), (3, 4, 2), (1, 3, 1), (2, 1, 3),
-              (2, 3, 4, 5), (1, 2, 1, 3), (3, 1, 2, 1)]
+              (2, 3, 4, 5), (1, 2, 1, 3), (3, 1, 2, 1), (0, 3, 4), (2, 0, 4), (2, 3, 0)]
     for shape in shapes:
         arr = np.ascontiguousarray(rng.standard_normal(shape))
         idx = string.ascii_lowercase[: len(shape)]
@@ -171,10 +172,11 @@ def test_bits_do_not_depend_on_core_count(split_calls, monkeypatch):
 
 
 def test_one_cutoff_splits_only_large_passes(range_calls, monkeypatch):
-    """Below `_SPLIT_MIN_PASS` elements in all a contraction is the single
-    call; from there on, one range per core off axis 0. Desk and score
-    training X (160x30x30) and a few large samples (12x130x130) stay whole;
-    2400x30x30 and the large X (800x200x200) take the ranges."""
+    """Off axis 0 every contraction runs through `_each_range`: one range on
+    the calling thread below `_SPLIT_MIN_PASS` elements in all, one range
+    per core from there on. Desk and score training X (160x30x30) and a few
+    large samples (12x130x130) take one range; 2400x30x30 and the large X
+    (800x200x200) take one per core."""
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     cases = {(160, 30, 30): [0, 160], (12, 130, 130): [0, 12],
              (2400, 30, 30): [0, 1200, 2400], (800, 200, 200): [0, 400, 800]}
@@ -190,9 +192,18 @@ def test_one_cutoff_splits_only_large_passes(range_calls, monkeypatch):
             for axis, d in enumerate(shape):
                 del recorded[:]
                 kernels.contract_mode(arr, np.ones(d), axis)
-                assert recorded == ([len(bounds) - 1] if len(bounds) > 2 and axis else []), shape
+                assert recorded == ([len(bounds) - 1] if axis else []), shape
     # Run for real: off the last axis the bits of the single call, on the
-    # last axis the same bits on any core count, one core included.
+    # last axis those of one product per sample, the same on any core count,
+    # one core included; below the cutoff no thread starts.
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     rng = np.random.default_rng(16)
     for shape in list(cases)[:3]:
         arr = rng.standard_normal(shape)
@@ -201,12 +212,14 @@ def test_one_cutoff_splits_only_large_passes(range_calls, monkeypatch):
             outs = []
             for cores in (1, 2, 3, 4):
                 monkeypatch.setattr(kernels, "_usable_cores", lambda c=cores: c)
+                del started[:]
                 outs.append(kernels.contract_mode(arr, v, axis))
+                assert len(started) == (cores - 1 if shape[0] == 2400 else 0)
             for out in outs[1:]:
                 assert out.tobytes() == outs[0].tobytes()
-            if axis == 1 or shape[0] < 2400:
-                assert outs[0].tobytes() == _single(arr, v, axis).tobytes()
-    assert range_calls == [1, 2, 3, 4, 1, 2, 3, 4]
+            want = _single(arr, v, axis) if axis == 1 else _per_sample(arr, v)
+            assert outs[0].tobytes() == want.tobytes()
+    assert range_calls == [1] * 16 + [1, 2, 3, 4] * 2
 
 
 def test_wrong_vector_length_raises_as_single_call(split_calls, monkeypatch):
@@ -310,16 +323,30 @@ def test_solve_above_cutoff_calls_ml0_on_main_thread(range_calls, monkeypatch, p
     n, dims = 8, (130, 130)
     if passes == "dense":
         monkeypatch.setattr(ml0.tensor, "_GATHER_MIN_SAMPLE", 1 << 62)
-        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * dims[0] * dims[1])  # X takes the split
+        cutoff = n * dims[0] * dims[1]  # X takes the split
     else:  # each copy keeps 20 of the 130 indices of its axis, and takes the split
         assert ml0.tensor._gathers(dims[0] * dims[1])
-        monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", n * 20 * dims[1])
+        cutoff = n * 20 * dims[1]
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", cutoff)
+    sizes = []
+    each_range = kernels._each_range
+
+    def sized(n, size, task):
+        sizes.append(n * size)
+        return each_range(n, size, task)
+
+    monkeypatch.setattr(kernels, "_each_range", sized)
     data = ml0.Dataset(rng.standard_normal((n,) + dims), np.array([1.0, -1.0] * (n // 2)))
     problem = ml0.Problem(ridge=(1e-3, 1e-3), sparsity=(20, 20))
     init = ml0.random_init(dims, problem.sparsity, seed=3)
     result = ml0.run(problem, data, init, ml0.SolverConfig(max_iters=4))
     assert len(result.trace) >= 2
-    assert range_calls and set(range_calls) == {2}
+    # The passes over X, and over its copies once they are built, take 2
+    # ranges; every other contraction (of a partial, n x 130) takes 1.
+    copies = set() if passes == "dense" else {n * 20 * dims[1]}
+    assert {s for s in sizes if s >= cutoff} == {data.X.size} | copies
+    assert range_calls == [2 if s >= cutoff else 1 for s in sizes]
+    assert 1 in range_calls
     assert {"contract_mode", "margin_batch", "project_l0"} <= names
     assert all(t is threading.main_thread() for t in threads)
 
@@ -331,9 +358,9 @@ def _per_sample(arr, v):
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "slabs"])
-def test_contract_samples_bits_do_not_depend_on_the_batch(range_calls, monkeypatch, split):
-    """A sample's result is the same whichever samples share the call, in a
-    whole call or in slabs, at any offset into a buffer."""
+def test_last_axis_bits_do_not_depend_on_the_batch(range_calls, monkeypatch, split):
+    """A sample's last-axis result is the same whichever samples share the
+    call, in a whole call or in slabs, at any offset into a buffer."""
     if split:
         monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", 1)
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
@@ -341,24 +368,27 @@ def test_contract_samples_bits_do_not_depend_on_the_batch(range_calls, monkeypat
     for tail in [(7,), (130,), (3, 5), (30, 30), (5, 3, 7), (1, 6, 1)]:
         arr = rng.standard_normal((13,) + tail)
         v = rng.standard_normal(tail[-1])
-        out = kernels.contract_samples(arr, v)
+        axis = len(tail)
+        out = kernels.contract_mode(arr, v, axis)
         assert out.shape == arr.shape[:-1]
         assert out.tobytes() == _per_sample(arr, v).tobytes()
         for lo, hi in [(0, 1), (2, 5), (5, 13), (12, 13)]:
-            assert kernels.contract_samples(arr[lo:hi], v).tobytes() == out[lo:hi].tobytes()
+            assert kernels.contract_mode(arr[lo:hi], v, axis).tobytes() == out[lo:hi].tobytes()
         shifted = np.empty(arr.size + 1)[1:].reshape(arr.shape)  # off a 16-byte boundary
         shifted[...] = arr
-        assert kernels.contract_samples(shifted, v).tobytes() == out.tobytes()
+        assert kernels.contract_mode(shifted, v, axis).tobytes() == out.tobytes()
     assert max(range_calls) == (2 if split else 1)
 
 
-def test_contract_mode_last_axis_above_cutoff_is_contract_samples(range_calls, monkeypatch):
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "slabs"])
+def test_contract_mode_last_axis_is_one_product_per_sample(range_calls, monkeypatch, split):
+    """Below the cutoff and above it, the last axis gives the bits of one
+    product per sample."""
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(22)
     arr = rng.standard_normal((5, 130, 130))
     v = rng.standard_normal(130)
-    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", arr.size)
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PASS", arr.size if split else arr.size + 1)
     out = kernels.contract_mode(arr, v, 2)
-    assert out.tobytes() == kernels.contract_samples(arr, v).tobytes()
     assert out.tobytes() == _per_sample(arr, v).tobytes()
-    assert range_calls == [2, 2]
+    assert range_calls == [2 if split else 1]

@@ -20,7 +20,9 @@ from ml0 import (
     grad_bias,
     grad_block,
     lipschitz_bias,
+    margins,
     nesterov_beta,
+    objective,
     project_l0,
     random_init,
     run,
@@ -1006,3 +1008,25 @@ def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
             assert not any(tested)
         else:
             assert tested[0] is False and any(tested)
+
+
+def test_solver_margins_and_objective_are_the_public_ones_bitwise():
+    """Below `tensor._GATHER_MIN_SAMPLE` the solver contracts X with the
+    products `ml0.margins` takes: after a short run of each desk-tol solve
+    (order 2) and of 160-sample toys of order 1 and 3, its margins and
+    objective at the final iterate have the bits of `ml0.margins` and
+    `ml0.objective` there."""
+    rng = np.random.default_rng(31)
+    runs = desk_tol_solves()
+    for dims in [(900,), (10, 10, 9)]:
+        problem = toy_problem(dims, s=5)
+        runs.append((toy_dataset(rng, n=160, dims=dims), problem,
+                     random_init(dims, problem.sparsity, seed=31)))
+    for data, problem, init in runs:
+        assert not tensor._gathers(math.prod(data.feature_dims))
+        params = run(problem, data, init, SolverConfig(max_iters=20)).params
+        blocks, b = list(params.blocks), params.bias
+        assert margin_batch(data.X, blocks, b).tobytes() == margins(params, data).tobytes()
+        J, _ = solver._objective_at(solver._Passes(data.X), data.y, blocks, b,
+                                    problem.ridge, problem.sparsity)
+        assert J == objective(params, data, problem), init.order
