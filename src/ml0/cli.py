@@ -130,13 +130,12 @@ def cmd_train(args):
         "dataset": str(args.dataset),
         "stop_reason": result.stop_reason,
         "iterations": len(result.trace),
-        "final_objective": result.trace[-1].objective if result.trace else None,
+        "final_objective": result.trace[-1].objective,
         "final_residual": result.final_residual,
     })
     _write_sidecar(args.output, dump)
     print("config: " + json.dumps(dump, sort_keys=True))
-    final_obj = result.trace[-1].objective if result.trace else math.nan
-    print(f"final objective: {final_obj:.17g}")
+    print(f"final objective: {result.trace[-1].objective:.17g}")
     print(f"iterations: {len(result.trace)}")
     print(f"stop reason: {result.stop_reason}")
     return 0
@@ -225,9 +224,9 @@ def cmd_bench(args):
             result = run(problem, train_ds, init, config, time_source=time_source)
             m = margins(result.params, test_ds)
             row = {
-                "objective": result.trace[-1].objective if result.trace else math.nan,
+                "objective": result.trace[-1].objective,
                 "iterations": len(result.trace),
-                "seconds": result.trace[-1].elapsed_seconds if result.trace else 0.0,
+                "seconds": result.trace[-1].elapsed_seconds,
                 "accuracy": accuracy(m, test_ds.y),
                 "auc": auc(m, test_ds.y),
             }

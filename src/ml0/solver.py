@@ -76,8 +76,9 @@ class SolverConfig:
     beta_max: float = field(default=0.9999, metadata={"help": "momentum cap"})
     tol_obj: float = field(default=1e-5, metadata={"help": "objective-change tolerance"})
     tol_grad: float = field(default=1e-4, metadata={"help": "gradient-change tolerance"})
-    max_iters: int = 2000
-    max_seconds: float = 60.0
+    max_iters: int = field(default=2000, metadata={"help": "iteration cap"})
+    max_seconds: float = field(default=60.0, metadata={
+        "help": "wall-clock budget in seconds, checked before every iteration after the first"})
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -117,8 +118,9 @@ class IterTrace:
 
 @dataclass
 class SolveResult:
-    """A finished run. `final_residual` is the L-stationarity residual at
-    `params` (`_stationarity_residual`)."""
+    """A finished run: `trace` holds at least one iteration, the last at
+    `params`. `final_residual` is the L-stationarity residual at `params`
+    (`_stationarity_residual`), from the last stop test's gradients."""
 
     params: ModelParams
     trace: list
@@ -310,12 +312,11 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     `data` must be an in-memory `Dataset`. The initial point must already
     satisfy the sparsity caps. Every recorded iterate is feasible (each block
     update ends in a hard-thresholding projection) and the recorded objective
-    sequence is nonincreasing. The wall-clock budget is checked once per
-    outer iteration; `time_source` replaces the clock for reproducible
-    traces. `iterate_hook(k, blocks, bias)` is called with each new iterate,
-    for instrumentation. The final residual comes from the last stop test's
-    gradients, after the last recorded iteration; only a run that records no
-    iteration computes them, at the initial point, with one pass over X.
+    sequence is nonincreasing. The wall-clock budget is checked before every
+    outer iteration after the first, so every run records at least one
+    iteration; `time_source` replaces the clock for reproducible traces.
+    `iterate_hook(k, blocks, bias)` is called with each new iterate, for
+    instrumentation. The final residual comes from the last stop test.
     """
     _check_in_memory(data, "run")
     clock = time_source if time_source is not None else time.perf_counter
@@ -340,12 +341,12 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     beta = config.beta1 if config.schedule == "apalm+" else 0.0
     t_k = 1.0
     trace = []
-    grads_prev = grads_now = None
+    grads_prev = None
     stop_reason = "max_iters"
     t0 = clock()
 
     for k in range(1, config.max_iters + 1):
-        if clock() - t0 > config.max_seconds:
+        if k > 1 and clock() - t0 > config.max_seconds:
             stop_reason = "max_seconds"
             break
 
@@ -428,10 +429,6 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
                 break
         grads_prev = grads_now
 
-    if grads_now is None:  # no iteration ran
-        m = margin_batch(P_cur, cur[:-1], cur_b)
-        G = passes.direction(cur)
-        grads_now, directions, _ = _gradient_family(passes, y, cur, m, ridge, G, P_cur)
     residual = _stationarity_residual(cur, grads_now, directions, ridge, sparsity, n)
     params = ModelParams(blocks=tuple(cur), bias=cur_b)
     return SolveResult(params=params, trace=trace, stop_reason=stop_reason,

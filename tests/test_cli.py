@@ -141,6 +141,21 @@ class TestTrain:
                      SolverConfig(max_iters=40))
         assert sidecar["final_residual"] == result.final_residual > 0.0
 
+    def test_spent_budget_still_records_one_iteration(self, toy_dataset, tmp_path, capsys):
+        """The budget is checked before every iteration after the first, so a
+        budget spent at once still gives a trained model, a numeric final
+        objective and a finite residual."""
+        model = tmp_path / "m.ml0w"
+        rc = main(["train", str(toy_dataset), "-o", str(model), "--max-seconds", "1e-9"])
+        assert rc == 0
+        sidecar = json.loads((tmp_path / "m.ml0w.json").read_text())
+        assert sidecar["iterations"] == 1
+        assert sidecar["stop_reason"] == "max_seconds"
+        assert math.isfinite(sidecar["final_residual"])
+        (row,) = read_csv(tmp_path / "m.ml0w.trace.csv")[1:]
+        assert sidecar["final_objective"] == float(row.split(",")[1])
+        assert f"final objective: {sidecar['final_objective']:.17g}\n" in capsys.readouterr().out
+
     def test_trace_byte_identical_without_wall_time(self, toy_dataset, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -255,6 +270,8 @@ SOLVER_HELP = {
     "beta-max": "momentum cap",
     "tol-obj": "objective-change tolerance",
     "tol-grad": "gradient-change tolerance",
+    "max-iters": "iteration cap",
+    "max-seconds": "wall-clock budget in seconds, checked before every iteration after the first",
     "gamma": "step-size inflation factor",
 }
 
@@ -727,6 +744,17 @@ class TestBench:
         assert len(lines) == 1 + 4 + 2
         summary = [l for l in lines if ",mean+-std," in l]
         assert len(summary) == 2
+
+    def test_spent_budget_rows_record_one_iteration(self, toy_dataset, tmp_path):
+        out = tmp_path / "r.csv"
+        rc = main(["bench", str(toy_dataset), "--runs", "2", "--max-seconds", "1e-9",
+                   "-o", str(out)])
+        assert rc == 0
+        rows = [l.split(",") for l in read_csv(out)[1:] if ",mean+-std," not in l]
+        assert len(rows) == 4  # 2 default schedules x 2 runs
+        for row in rows:
+            assert row[4] == "1" and row[8] == "max_seconds"
+            assert math.isfinite(float(row[3]))
 
     def test_single_run_warns_and_zero_std(self, toy_dataset, tmp_path, capsys):
         out = tmp_path / "r.csv"

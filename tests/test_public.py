@@ -126,3 +126,16 @@ def test_each_schedule_has_one_name():
               if isinstance(node, ast.Dict) and any(
                   isinstance(key, ast.Constant) and key.value in names for key in node.keys)]
     assert tables == []
+
+
+def test_run_computes_the_final_gradients_at_one_site():
+    """`solver.run` calls `_gradient_family` and `passes.direction` at one
+    site each, in its loop, so the stop test and the final residual read one
+    gradient family and a second residual path cannot come back."""
+    assert sites(lambda node: isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_gradient_family") == [
+        ("solver.py", "run")]
+    assert sites(lambda node: isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "direction"
+                 and getattr(node.func.value, "id", None) == "passes") == [
+        ("solver.py", "run")]

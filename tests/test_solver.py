@@ -905,8 +905,8 @@ def scratch_residual(params, data, problem):
 
 class TestStationarityResidual:
     """`SolveResult.final_residual`: the L-stationarity residual at the final
-    iterate, from the last stop test's gradients, or from scratch at the
-    initial point when no iteration ran."""
+    iterate, from the last stop test's gradients, which every run computes:
+    a budget spent before the first iteration still records one."""
 
     @staticmethod
     def fixed_point():
@@ -921,14 +921,15 @@ class TestStationarityResidual:
         init = ModelParams(blocks=(np.array([2.0, 0, 0]), np.array([-1.0, 0, 0, 0])), bias=0.0)
         return data, problem, init
 
-    @pytest.mark.parametrize("step", [0.0, 2.0], ids=["iterations", "no-iteration"])
+    @pytest.mark.parametrize("step", [0.0, 2.0], ids=["iterations", "spent-budget"])
     def test_zero_at_a_hand_built_fixed_point(self, step):
         data, problem, init = self.fixed_point()
         for j in range(2):  # both blocks count: their moduli are positive
             assert np.linalg.norm(grad_direction_batch(data.X, init.blocks, j)) > 0.0
         result = run(problem, data, init, SolverConfig(max_iters=5, max_seconds=1.0),
                      time_source=FakeClock(step))
-        assert len(result.trace) == (2 if step == 0.0 else 0)
+        assert len(result.trace) == (2 if step == 0.0 else 1)
+        assert result.stop_reason == ("obj_tol" if step == 0.0 else "max_seconds")
         assert result.final_residual == 0.0
         assert all(a.tobytes() == b.tobytes() for a, b in zip(result.params.blocks, init.blocks))
 
@@ -947,13 +948,22 @@ class TestStationarityResidual:
             assert [b.tobytes() for b in result.params.blocks] == [b.tobytes() for b in blocks]
             assert result.params.bias == bias
 
-    def test_matches_scratch_when_no_iteration_ran(self):
+    def test_matches_scratch_when_the_budget_is_spent(self):
+        """A budget spent before the first iteration records exactly one, at
+        orders 2, 3 and 1, and its residual is the one at that iterate. A
+        cap of one iteration comes first and is reported as `max_iters`."""
         for data, problem, init in cache_runs():
             result = run(problem, data, init, SolverConfig(max_seconds=1.0),
                          time_source=FakeClock(step=2.0))
-            assert result.trace == [] and result.stop_reason == "max_seconds"
-            want = scratch_residual(init, data, problem)
+            assert len(result.trace) == 1 and result.stop_reason == "max_seconds"
+            want = scratch_residual(result.params, data, problem)
+            assert want > 0.0
             assert abs(result.final_residual - want) <= 1e-12 * want, init.order
+            capped = run(problem, data, init, SolverConfig(max_iters=1, max_seconds=1.0),
+                         time_source=FakeClock(step=2.0))
+            assert capped.stop_reason == "max_iters"
+            assert same_run(dataclasses.replace(capped, stop_reason="max_seconds"), result)
+            assert capped.final_residual == result.final_residual
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
