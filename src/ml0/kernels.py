@@ -65,13 +65,11 @@ def _ranges(n, size):
 
 
 def _each_range(n, size, task):
-    """Call task(lo, hi) for each range of `_ranges(n, size)`: one range
-    directly, else the first on this thread and each other on a short-lived
-    thread of its own. Re-raises the first error in range order after every
-    thread that started has finished."""
+    """Call task(lo, hi) for each range of `_ranges(n, size)`: the first on
+    this thread, each other on a short-lived thread of its own (none for one
+    range). Re-raises the first error in range order after every thread
+    that started has finished."""
     bounds = _ranges(n, size)
-    if len(bounds) == 2:
-        return task(0, n)
     errors = [None] * (len(bounds) - 1)
 
     def work(i):

@@ -345,6 +345,8 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
     stop_reason = "max_iters"
     t0 = clock()
 
+    # SolverConfig requires max_iters >= 1, so iteration 1 always runs and
+    # binds grads_now and directions for the residual below.
     for k in range(1, config.max_iters + 1):
         if k > 1 and clock() - t0 > config.max_seconds:
             stop_reason = "max_seconds"

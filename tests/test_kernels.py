@@ -265,25 +265,6 @@ def test_slab_error_reaches_caller_after_every_slab_ends(split_calls, monkeypatc
     assert split_calls == [3, 3]
 
 
-def test_one_range_runs_the_task_directly(monkeypatch):
-    """A pass of one range calls its task once, on this thread, and starts
-    no thread; an error from the task reaches the caller as it was raised."""
-    monkeypatch.setattr(threading, "Thread", None)  # any construction fails
-    calls, failure = [], KeyError("range failed")
-
-    def task(lo, hi):
-        calls.append((lo, hi, threading.current_thread()))
-        if len(calls) == 2:
-            raise failure
-
-    assert kernels._ranges(7, 3) == [0, 7]
-    kernels._each_range(7, 3, task)
-    with pytest.raises(KeyError) as err:
-        kernels._each_range(7, 3, task)
-    assert err.value is failure
-    assert calls == [(0, 7, threading.main_thread())] * 2
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_contracts_after_parent_split(split_calls, monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
