@@ -4,15 +4,15 @@ Every batch margin and gradient in this package reduces to the same
 primitive, `contract_mode`: contract one axis of a dense row-major array of
 stacked samples with a vector (a mode-n product). It is a numpy `matmul` on
 reshaped views, so BLAS does the arithmetic and the array is never copied.
-Axis 0, the sample axis, is one vector-matrix product. The last axis is a
-stack of per-sample products (`_stacked`): each sample is summed in a
-product of its own, so its result has the same bits whichever samples share
-the call, and OpenBLAS runs the stack on the calling thread (a multithreaded
-gemv would leave BLAS worker threads spinning on the cores the other ranges
-need). Any other axis is a stacked vector-matrix product over the (outer, d,
-inner) view. A single sample does not come here: `predict` scores it with
-`tensor.contract_full`, one product per mode, which gives it the bits of
-its margin in a batch.
+Axis 0 stacks the samples, so the axis is a sample axis, 1 or above. The
+last axis is a stack of per-sample products (`_stacked`): each sample is
+summed in a product of its own, so its result has the same bits whichever
+samples share the call, and OpenBLAS runs the stack on the calling thread
+(a multithreaded gemv would leave BLAS worker threads spinning on the cores
+the other ranges need). Any other axis is a stacked vector-matrix product
+over the (outer, d, inner) view. A single sample does not come here:
+`predict` scores it with `tensor.contract_full`, one product per mode,
+which gives it the bits of its margin in a batch.
 
 Every pass over the samples is cut by one rule, `_ranges`: below
 `_SPLIT_MIN_PASS` elements in all it is one range, from there on one
@@ -22,10 +22,11 @@ thread and each other on a short-lived thread of its own, joined before it
 returns, so no pool outlives a call or a `fork`. It is the one function in
 the package that starts a thread. numpy releases the interpreter lock
 inside `matmul`, so the ranges stream X in parallel.
-`contract_mode` off axis 0 and the one read of a dataset's samples
+`contract_mode` and the one read of a dataset's samples
 (`data.DatasetStream._read`, and `Dataset._read` in memory) all split this
-way, and no range splits again. Off axis 0 each range writes its rows of one
-preallocated output, so the bits do not depend on the core count.
+way, and no range splits again. Each range of `contract_mode` writes its
+rows of one preallocated output, so the bits do not depend on the core
+count.
 
 The model's margins contract a range's chunks with `_stacked` as they are
 read. From `tensor._GATHER_MIN_SAMPLE` elements per sample, a range
@@ -94,14 +95,13 @@ def _each_range(n, size, task):
 
 
 def contract_mode(arr, v, axis):
-    """Contract one axis of a C-contiguous float64 array with a vector.
+    """Contract one axis of a C-contiguous float64 array of stacked samples
+    with a vector. `axis` is a sample axis, 1 or above.
 
     Returns an array whose shape is arr.shape with `axis` removed.
     """
     shape = arr.shape
     d, inner = shape[axis], math.prod(shape[axis + 1 :])
-    if not axis:
-        return (v @ arr.reshape(1, d, inner)).reshape(shape[1:])
     out = np.empty(shape[:axis] + shape[axis + 1 :], dtype=np.result_type(arr, v))
     if axis == len(shape) - 1:
         def task(lo, hi):

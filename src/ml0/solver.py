@@ -18,11 +18,12 @@ kept for the current and the previous iterate. The mode product is linear,
 so P at the extrapolated point is P_cur + beta (P_cur - P_prev) and the
 extrapolation test reads no X; the sweep takes the directions of blocks
 1..p-1 from P at its base point and reads X once, for the last block's
-direction; the stop test reuses that direction and reads X once more, for
-the new iterate's P. That is two passes over X per iteration at any order
-p >= 2. At order 1 the only direction is X itself and P is the margin
-vector minus the bias, which the sweep computes anyway, so neither test
-contracts X.
+direction, and once more after its last block, for the new iterate's P.
+Every margin of the new iterate (the bias step's, the recorded
+objective's and the stop test's) comes from that P, as `ml0.objective`'s
+do, and the stop test reuses the last direction, so it reads no X. That is
+two passes over X per iteration at order p >= 2, and one at order 1, where
+the direction is X itself.
 
 Both passes go through one seam, `_Passes`. Once a sample is large enough
 that scoring reads only its selected rows (`tensor._gathers`), each pass
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_in_memory
-from .kernels import contract_mode
+from .kernels import contract_down, contract_mode
 from .model import (
     ModelParams,
     Problem,
@@ -173,9 +174,10 @@ def random_init(dims, sparsity, seed):
 
 
 class _Passes:
-    """The solver's two passes over the sample array X: `direction`, the
-    last block's gradient direction (X contracted with w_1..w_{p-1}), and
-    `partial`, P = X x_p w_p.
+    """The solver's two passes over the sample array X, one each per
+    iteration: `direction`, the last block's gradient direction in the sweep
+    (X contracted with w_1..w_{p-1}; X itself at order 1), and `partial`,
+    P = X x_p w_p at the new iterate after it.
 
     From `tensor._GATHER_MIN_SAMPLE` elements per sample (`tensor._gathers`)
     each pass contracts a compact copy of X instead: `direction` X taken on
@@ -264,24 +266,21 @@ def _objective_at(passes, y, blocks, bias, ridge, sparsity, partial=None):
     return objective_from_margins(m, y, blocks, ridge, sparsity), partial
 
 
-def _gradient_family(passes, y, blocks, margins, ridge, last_direction, partial=None):
-    """Smooth-gradient family [g_1, ..., g_p, [g_bias]] at a fixed state, the
-    gradient directions [G_1, ..., G_p] it was computed from, and the partial
-    P = X x_p w_p there.
+def _gradient_family(y, blocks, margins, ridge, last_direction, partial):
+    """Smooth-gradient family [g_1, ..., g_p, [g_bias]] at a fixed state and
+    the gradient directions [G_1, ..., G_p] it was computed from.
 
     `last_direction` is the gradient direction of the last block at this
-    state, which the sweep has just computed. Without a given `partial`, P
-    costs the one pass of `passes`; the other directions follow from P.
+    state and `partial` is P = X x_p w_p there, both of which the sweep has
+    just computed; the other directions follow from P, so no X is read.
     """
     p = len(blocks)
-    if partial is None:
-        partial = passes.partial(blocks)
     coeff = loss_coefficients(margins, y)
     directions = [grad_direction_batch(partial, blocks[:-1], j) for j in range(p - 1)]
     directions.append(last_direction)
     family = [G.T @ coeff + lam * w for G, lam, w in zip(directions, ridge, blocks)]
     family.append(np.array([float(coeff.sum())]))
-    return family, directions, partial
+    return family, directions
 
 
 def _stationarity_residual(blocks, family, directions, ridge, sparsity, n):
@@ -352,14 +351,13 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             stop_reason = "max_seconds"
             break
 
-        # Extrapolate only along a step that moved; at beta 0 or at a
-        # repeated iterate the extrapolated point is the current one.
+        # At beta 0 the extrapolated point is the current one. So it is at a
+        # repeated iterate, where below the gather cutoff P_y and J_y equal
+        # P_cur and J_cur bitwise, so the test accepts it.
         beta_used = beta
         base, base_b, J_base, P_base = cur, cur_b, J_cur, P_cur
         accepted = True
-        if beta != 0.0 and (
-            any((c != q).any() for c, q in zip(cur, prev)) or cur_b != prev_b
-        ):
+        if beta != 0.0:
             y_blocks = [c + beta * (c - q) for c, q in zip(cur, prev)]
             y_bias = cur_b + beta * (cur_b - prev_b)
             # X x_p is linear, so P at the extrapolated point needs no pass over X.
@@ -394,16 +392,16 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
             grad, tau = block_step(G, work[j], base_b, y, ridge[j], gamma)
             work[j] = prox_block_step(work[j], grad, tau, sparsity[j])
             min_tau = min(min_tau, tau)
-        # Only P_cur outlives the sweep; the stop test computes the next one.
+        # Only P_cur outlives the sweep. The new iterate's margins, the bias
+        # step's and the recorded objective's, all come from its partial, as
+        # `ml0.objective`'s do (`margin_batch`).
         P_y = P_base = P_prev = None
-
-        # G still matches the final block state (it never involves block p-1).
-        s_last = G @ work[p - 1]
-        m_blocks = s_last + base_b
-        grad_b = float(loss_coefficients(m_blocks, y).sum())
+        P_new = passes.partial(work)
+        s = contract_down(P_new, work[:-1])
+        grad_b = float(loss_coefficients(s + base_b, y).sum())
         new_b = base_b - grad_b / tau_bias
 
-        m_final = m_blocks + (new_b - base_b)
+        m_final = s + new_b
         J_next = smooth_loss_from_margins(m_final, y, work, ridge)
         gap = family_norm([w - b for w, b in zip(work, base)]) + abs(new_b - base_b)
 
@@ -413,11 +411,8 @@ def run(problem: Problem, data, init: ModelParams, config: SolverConfig,
 
         if iterate_hook is not None:
             iterate_hook(k, work, new_b)
-        # The stop test reuses G; its pass over X is the next P_cur. At order
-        # 1, P is the margin vector minus the bias, which the sweep computed.
-        grads_now, directions, P_new = _gradient_family(
-            passes, y, work, m_final, ridge, G, s_last if p == 1 else None
-        )
+        # The stop test reuses G and P_new, the next P_cur.
+        grads_now, directions = _gradient_family(y, work, m_final, ridge, G, P_new)
         # Velocity memory runs over consecutive iterates; the accepted
         # extrapolated point only serves as the base of the sweep.
         prev, prev_b, P_prev = cur, cur_b, P_cur

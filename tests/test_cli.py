@@ -413,6 +413,22 @@ class TestEval:
             report["objective"], sidecar["final_objective"], rtol=1e-10
         )
 
+    def test_desk_final_objective_is_the_eval_objective_bitwise(self, tmp_path, capsys):
+        """Trained on a desk file (30x30 samples) and evaluated on it, a model's
+        recorded final objective has the bits of the eval objective: the
+        solver takes it from the margins `ml0.objective` takes."""
+        data, model = tmp_path / "desk.ml0t", tmp_path / "m.ml0w"
+        assert main(["gen", "--rows", "30", "--cols", "30", "--block", "5",
+                     "--per-class", "100", "--seed", "0", "-o", str(data)]) == 0
+        assert main(["train", str(data), "-o", str(model), "--seed", "0",
+                     "--no-wall-time"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(model), str(data)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sidecar = json.loads((tmp_path / "m.ml0w.json").read_text())
+        assert sidecar["stop_reason"] != "max_iters"
+        assert report["objective"] == sidecar["final_objective"]
+
     def test_one_pass_over_x_and_objective_bitwise(self, toy_dataset, trained, capsys,
                                                    monkeypatch):
         """The samples reach the contraction once each, in file order, in

@@ -128,14 +128,22 @@ def test_each_schedule_has_one_name():
     assert tables == []
 
 
+def passes_calls(method):
+    """Sites of the calls `passes.<method>(...)` in src/ml0, sorted."""
+    return sorted(sites(lambda node: isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == method
+                        and getattr(node.func.value, "id", None) == "passes"))
+
+
 def test_run_computes_the_final_gradients_at_one_site():
     """`solver.run` calls `_gradient_family` and `passes.direction` at one
     site each, in its loop, so the stop test and the final residual read one
-    gradient family and a second residual path cannot come back."""
+    gradient family and a second residual path cannot come back. The
+    partial pass runs once in `_objective_at`, for the initial objective,
+    and once in `run`, for the new iterate, whose every margin it gives:
+    `_gradient_family` reads no X, so no second margin path can come back."""
     assert sites(lambda node: isinstance(node, ast.Call)
                  and getattr(node.func, "id", None) == "_gradient_family") == [
         ("solver.py", "run")]
-    assert sites(lambda node: isinstance(node, ast.Call)
-                 and getattr(node.func, "attr", None) == "direction"
-                 and getattr(node.func.value, "id", None) == "passes") == [
-        ("solver.py", "run")]
+    assert passes_calls("direction") == [("solver.py", "run")]
+    assert passes_calls("partial") == [("solver.py", "_objective_at"), ("solver.py", "run")]

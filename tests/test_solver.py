@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -654,11 +655,10 @@ class TestCachedPartials:
                                    at_y))
                 return direction(arr, blocks, skip)
 
-            def checked_family(X_, y, blocks, margins, ridge, last_direction, partial=None):
+            def checked_family(y, blocks, margins, ridge, last_direction, P):
                 assert all(b is w for b, w in zip(blocks, state["blocks"]))
                 state["stop"] = True
-                family, dirs, P = gradient_family(X_, y, blocks, margins, ridge,
-                                                  last_direction, partial)
+                family, dirs = gradient_family(y, blocks, margins, ridge, last_direction, P)
                 state["stop"] = False
                 m = margin_batch(X, blocks, state["bias"])
                 coeff = loss_coefficients(m, y)
@@ -672,7 +672,7 @@ class TestCachedPartials:
                     rel_err(dirs, directions),
                     rel_err(family, want),
                 ])
-                return family, dirs, P
+                return family, dirs
 
             def hook(k, blocks, bias):
                 state.update(k=k, blocks=blocks, bias=bias)
@@ -700,11 +700,10 @@ class TestCachedPartials:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_passes_over_x_per_iteration(self, monkeypatch, schedule, gate):
         """Order p >= 2 contracts X twice per iteration (the last block's sweep
-        direction and the new iterate's partial). Order 1 contracts X in no
-        iteration; before the cached partial, its extrapolation test did
-        once per iteration. A pass over a compact copy of X counts as a pass
-        over X: above the gather cutoff (forced here) the passes contract
-        copies, and the count is the same."""
+        direction and the new iterate's partial). Order 1 contracts X once,
+        for the partial: its direction is X itself. A pass over a compact
+        copy of X counts as a pass over X: above the gather cutoff (forced
+        here) the passes contract copies, and the count is the same."""
         contract_mode = kernels.contract_mode
         for data, problem, init in cache_runs():
             passes, compact, marks = [0], [0], []
@@ -725,16 +724,14 @@ class TestCachedPartials:
             monkeypatch.undo()
             per_iteration = np.diff(marks)
             assert len(per_iteration) == len(result.trace) - 1 > 10
-            want = 0 if init.order == 1 else 2
+            want = min(init.order, 2)
             assert per_iteration.tolist() == [want] * len(per_iteration), init.order
             # One more pass computes the initial objective.
             assert passes[0] == 1 + want * len(result.trace)
             # Above the gate a pass contracts a copy until its kept indices
             # pass half of their axes, then X.
             assert compact[0] == sum(call.compact for call in made[-1].calls)
-            # At order 1 the only pass is the initial objective's, too soon
-            # for a copy.
-            assert (compact[0] > 0) == (gate == "above" and init.order > 1)
+            assert (compact[0] > 0) == (gate == "above")
 
 
 def desk_tol_solves():
@@ -782,10 +779,11 @@ class TestCompactPasses:
             made = recording_passes(monkeypatch)
             result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=300))
             (passes,) = made
-            # Order 1 has no direction pass: its direction is X itself.
-            assert len(passes.calls) == (2 if p > 1 else 1) * len(result.trace) + 1 > 10
+            # Two calls per iteration at every order: at order 1 the
+            # direction pass returns X itself.
+            assert len(passes.calls) == 2 * len(result.trace) + 1 > 10
             absX = np.abs(X)
-            assert any(call.compact for call in passes.calls) == (p > 1)
+            assert any(call.compact for call in passes.calls)
             for call in passes.calls:
                 g, blocks, got = call.g, call.blocks, call.result
                 assert call.covered and follows_the_rule(call), (p, g)
@@ -967,12 +965,14 @@ class TestStationarityResidual:
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
-def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
+def test_extrapolation_test_runs_whenever_beta_is_nonzero(monkeypatch, schedule):
     """The extrapolation test (`_objective_at` with a partial) runs exactly in
-    the iterations whose momentum factor is nonzero and whose iterate moved
-    in the previous step. Every other iteration's sweep starts at the
-    current iterate, so its base objective is the previous recorded one,
-    bitwise."""
+    the iterations whose momentum factor is nonzero. Every other iteration's
+    sweep starts at the current iterate, so its base objective is the
+    previous recorded one, bitwise. So does a test at an iterate that did
+    not move in the previous step (iteration 1 among them): the
+    extrapolated point is the current one, its objective the recorded one
+    bitwise, and the test accepts it."""
     objective_at = solver._objective_at
     for data, problem, init in cache_runs():
         events = []  # ("test", None) per extrapolation test, ("hook", iterate) per iteration
@@ -1011,32 +1011,42 @@ def test_extrapolation_test_runs_only_after_a_moved_step(monkeypatch, schedule):
             moved = cur_b != prev_b or any(
                 not np.array_equal(c, q) for c, q in zip(cur, prev)
             )
-            assert tested[k - 1] == (row.beta != 0.0 and moved), (schedule, k)
-            if not tested[k - 1]:
+            assert tested[k - 1] == (row.beta != 0.0), (schedule, k)
+            if not tested[k - 1] or not moved:
                 assert row.base_objective == objectives[k - 1], (schedule, k)
+            if tested[k - 1] and not moved:
+                assert row.accepted, (schedule, k)
         if schedule == "bpgd":
             assert not any(tested)
         else:
-            assert tested[0] is False and any(tested)
+            assert any(tested)
+        # apalm+ starts at beta1 > 0 and tests at iteration 1, where the
+        # iterate has not moved; apalm starts at beta 0.
+        assert tested[0] == (schedule == "apalm+")
+        if schedule == "apalm+":
+            assert result.trace[0].accepted and result.trace[0].base_objective == initial[0]
 
 
 def test_solver_margins_and_objective_are_the_public_ones_bitwise():
     """Below `tensor._GATHER_MIN_SAMPLE` the solver contracts X with the
-    products `ml0.margins` takes: after a short run of each desk-tol solve
-    (order 2) and of 160-sample toys of order 1 and 3, its margins and
-    objective at the final iterate have the bits of `ml0.margins` and
-    `ml0.objective` there."""
+    products `ml0.margins` takes: after each desk-tol solve (order 2) and
+    runs on 160-sample toys of order 1 and 3, under every schedule and cut
+    at 400 iterations, its margins and objective at the final iterate have
+    the bits of `ml0.margins` and `ml0.objective` there, and so does the
+    last recorded objective."""
     rng = np.random.default_rng(31)
     runs = desk_tol_solves()
     for dims in [(900,), (10, 10, 9)]:
         problem = toy_problem(dims, s=5)
         runs.append((toy_dataset(rng, n=160, dims=dims), problem,
                      random_init(dims, problem.sparsity, seed=31)))
-    for data, problem, init in runs:
+    for (data, problem, init), schedule in itertools.product(runs, SCHEDULES):
         assert not tensor._gathers(math.prod(data.feature_dims))
-        params = run(problem, data, init, SolverConfig(max_iters=20)).params
+        result = run(problem, data, init, SolverConfig(schedule=schedule, max_iters=400))
+        params = result.params
         blocks, b = list(params.blocks), params.bias
         assert margin_batch(data.X, blocks, b).tobytes() == margins(params, data).tobytes()
         J, _ = solver._objective_at(solver._Passes(data.X), data.y, blocks, b,
                                     problem.ridge, problem.sparsity)
         assert J == objective(params, data, problem), init.order
+        assert result.trace[-1].objective == J, (init.order, schedule)

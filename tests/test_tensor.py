@@ -123,14 +123,15 @@ class TestContractFull:
             blocks = [rng.standard_normal(d) for d in t.dims]
             want = contract_full(t, blocks)
             perm = rng.permutation(t.order)
-            # contract one mode at a time in a random order
-            cur = t.array
+            # contract one mode at a time in a random order, the tensor
+            # stacked as one sample (axis 0), so mode j is axis j + 1
+            cur = t.array[None]
             remaining = list(range(t.order))
             for mode in perm:
                 pos = remaining.index(mode)
-                cur = contract_mode(cur, blocks[mode], pos)
+                cur = contract_mode(cur, blocks[mode], pos + 1)
                 remaining.pop(pos)
-            np.testing.assert_allclose(float(cur), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(float(cur[0]), want, rtol=1e-12, atol=1e-12)
 
     def test_bitwise_equal_to_descending_fold(self):
         rng = np.random.default_rng(19)
